@@ -9,11 +9,15 @@
 // table7 table8 table9 winners all. Figure 8 is a decision procedure; use the
 // greenrecommend command.
 //
-// Sharded execution splits the fig3 grid across processes:
+// The evaluation repository (-repo) is the grid's only durable per-cell
+// state. A run with -repo stores every executed cell and replays every
+// stored one, so an interrupted run resumes by rerunning the same
+// command. Sharded execution splits the fig3 grid across processes
+// that all write into one shared store:
 //
-//	greenbench -shard 0/4 -journal s0.jsonl      # run one content-addressed slice
-//	greenbench -merge 's0.jsonl,s1.jsonl,...'    # fuse shard journals into the exports
-//	greenbench -coordinator -shards 4 -shard-dir run/   # spawn, babysit, restart, merge
+//	greenbench -shard 0/4 -repo store/              # run one content-addressed slice
+//	greenbench -merge 'store/,other-host/store/'    # fuse stores into the exports
+//	greenbench -coordinator -shards 4 -repo store/  # spawn, babysit, restart, merge
 //
 // Merged exports are byte-identical to a single-process run of the same
 // grid, regardless of shard count, completion order, kills, or restarts.
@@ -51,7 +55,6 @@ type options struct {
 	csvPath     string
 	jsonPath    string
 	svgDir      string
-	journal     string
 	faultRate   float64
 	faultSeed   uint64
 	memoryGB    float64
@@ -62,27 +65,29 @@ type options struct {
 	wdProbes    int
 	reportDir   string
 
-	shard            string
-	merge            string
-	mergeAllowDamage bool
-	coordinator      bool
-	shards           int
-	shardDir         string
-	maxRestarts      int
-	stallProbes      int
-	stallInterval    time.Duration
+	shard         string
+	merge         string
+	coordinator   bool
+	shards        int
+	maxRestarts   int
+	stallProbes   int
+	stallInterval time.Duration
 
 	repoDir          string
 	repoReadonly     bool
 	repoAllowDamage  bool
 	simulateEnsemble bool
 
-	// shardSpec is the parsed -shard value, filled by validate.
+	// shardSpec is the parsed -shard value and mergeDirs the expanded
+	// -merge list, both filled by validate.
 	shardSpec bench.ShardSpec
+	mergeDirs []string
 }
 
 // validate rejects malformed and contradictory flag combinations with a
 // one-line error instead of silently misbehaving partway into a sweep.
+// It also expands the -merge globs, so a pattern that matches no store
+// directory is a usage error like any other.
 func (o *options) validate() error {
 	if o.faultRate < 0 || o.faultRate > 1 {
 		return fmt.Errorf("-fault-rate %v must be in [0, 1]", o.faultRate)
@@ -124,8 +129,8 @@ func (o *options) validate() error {
 	if o.repoReadonly && o.repoDir == "" {
 		return fmt.Errorf("-repo-readonly only applies to -repo")
 	}
-	if o.repoAllowDamage && o.repoDir == "" {
-		return fmt.Errorf("-repo-allow-damage only applies to -repo")
+	if o.repoAllowDamage && o.repoDir == "" && o.merge == "" {
+		return fmt.Errorf("-repo-allow-damage only applies to -repo or -merge")
 	}
 	if o.simulateEnsemble && o.repoDir == "" {
 		return fmt.Errorf("-simulate-ensemble needs -repo: it replays predictions the store holds")
@@ -136,16 +141,15 @@ func (o *options) validate() error {
 			return err
 		}
 		o.shardSpec = spec
-		if o.journal == "" {
-			return fmt.Errorf("-shard requires -journal: a shard's only output is its journal")
+	}
+	if o.shard != "" || o.coordinator {
+		if o.repoDir == "" || o.repoReadonly {
+			return fmt.Errorf("-shard and -coordinator require a writable -repo: the store is a shard's only output")
 		}
 	}
 	if o.coordinator {
 		if o.shards < 1 {
 			return fmt.Errorf("-shards %d must be at least 1", o.shards)
-		}
-		if o.shardDir == "" {
-			return fmt.Errorf("-coordinator requires -shard-dir for the shard journals")
 		}
 		if o.maxRestarts < 0 {
 			return fmt.Errorf("-max-restarts %d must not be negative", o.maxRestarts)
@@ -156,9 +160,6 @@ func (o *options) validate() error {
 		if o.stallProbes > 0 && o.stallInterval <= 0 {
 			return fmt.Errorf("-shard-stall-interval %v must be positive when -shard-stall-probes is set", o.stallInterval)
 		}
-	}
-	if o.mergeAllowDamage && o.merge == "" {
-		return fmt.Errorf("-merge-allow-damage only applies to -merge")
 	}
 	if o.shard != "" || o.coordinator {
 		if o.experiment != "fig3" {
@@ -171,12 +172,44 @@ func (o *options) validate() error {
 				return fmt.Errorf("-merge can only render experiments derived from the fig3 grid (fig3, fig4, table4, table6, table7, winners, significance); %s reruns a grid", id)
 			}
 		}
+		if o.repoDir != "" {
+			return fmt.Errorf("-merge reads only the stores it lists; add the -repo directory to the -merge list")
+		}
+		dirs, err := mergeDirs(o.merge)
+		if err != nil {
+			return err
+		}
+		o.mergeDirs = dirs
 	}
 	return nil
 }
 
+// mergeDirs expands the -merge argument: comma-separated store
+// directories, each possibly a glob.
+func mergeDirs(arg string) ([]string, error) {
+	var dirs []string
+	for _, part := range strings.Split(arg, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		matches, err := filepath.Glob(part)
+		if err != nil {
+			return nil, fmt.Errorf("bad -merge pattern %q: %w", part, err)
+		}
+		if len(matches) == 0 {
+			return nil, fmt.Errorf("-merge pattern %q matches no store directory", part)
+		}
+		dirs = append(dirs, matches...)
+	}
+	if len(dirs) == 0 {
+		return nil, fmt.Errorf("-merge needs at least one store directory")
+	}
+	return dirs, nil
+}
+
 // fig3Derived reports whether an experiment is a pure function of the
-// fig3 grid's records — renderable offline from merged journals.
+// fig3 grid's records — renderable offline from merged stores.
 func fig3Derived(id string) bool {
 	switch id {
 	case "fig3", "fig4", "table4", "table6", "table7", "winners", "significance":
@@ -185,44 +218,53 @@ func fig3Derived(id string) bool {
 	return false
 }
 
-func main() {
+// parseArgs parses and validates the command line. Any error is a
+// usage error (exit 2); -h returns flag.ErrHelp.
+func parseArgs(args []string) (options, error) {
 	var o options
-	flag.StringVar(&o.experiment, "experiment", "fig3", "experiment id (fig3..fig7, table3..table9, all)")
-	flag.IntVar(&o.seeds, "seeds", 3, "repeated runs per cell (paper uses 10)")
-	flag.IntVar(&o.datasets, "datasets", 0, "restrict to the first N suite datasets (0 = all 39)")
-	flag.StringVar(&o.names, "names", "", "comma-separated dataset names to run (overrides -datasets)")
-	flag.BoolVar(&o.quick, "quick", false, "tiny configuration for a fast smoke run")
-	flag.IntVar(&o.metaIters, "meta-iterations", 40, "BO iterations for development-stage experiments (paper uses 300)")
-	flag.IntVar(&o.metaTopK, "meta-topk", 8, "representative datasets for development-stage experiments (paper uses 20)")
-	flag.StringVar(&o.csvPath, "csv", "", "export the fig3 grid's raw records as CSV to this path")
-	flag.StringVar(&o.jsonPath, "json", "", "export the fig3 grid's raw records as JSON to this path")
-	flag.StringVar(&o.svgDir, "svg-dir", "", "write SVG charts of figures 3-5 into this directory")
-	flag.StringVar(&o.journal, "journal", "", "JSONL checkpoint path for the fig3 grid; an interrupted run resumes from it")
-	flag.Float64Var(&o.faultRate, "fault-rate", 0, "per-attempt fault-injection probability in [0,1] (0 = off)")
-	flag.Uint64Var(&o.faultSeed, "fault-seed", 0, "fault-injection stream seed (decisions are order-independent)")
-	flag.Float64Var(&o.memoryGB, "memory-gb", 0, "machine memory model in GB for simulated OOM kills (0 = off)")
-	flag.IntVar(&o.retries, "retries", 0, "max Fit attempts per cell (0 = 1, or 3 with faults enabled); retry energy is charged")
-	flag.IntVar(&o.workers, "workers", 0, "grid cells run concurrently (0 = NumCPU); output is identical at any worker count")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "within-cell kernel worker budget (0 = auto: idle cores split across uncached cells); output is bit-identical at any level")
-	flag.Float64Var(&o.hangRate, "hang-rate", 0, "per-attempt probability in [0,1] that a Fit hangs without progress, exercising the stall watchdog (0 = off)")
-	flag.IntVar(&o.wdProbes, "watchdog-probes", 0, "probe intervals without virtual progress before a cell is abandoned as stalled (0 = off, or 4 when -hang-rate > 0)")
-	flag.StringVar(&o.reportDir, "report-dir", "", "also write each experiment's rendered report into this directory (atomic replace)")
-	flag.StringVar(&o.shard, "shard", "", "run one content-addressed grid slice i/N (e.g. 0/4); requires -journal")
-	flag.StringVar(&o.merge, "merge", "", "comma-separated shard journals (globs allowed) to fuse into the aggregate exports instead of running")
-	flag.BoolVar(&o.mergeAllowDamage, "merge-allow-damage", false, "let -merge exit zero even when shard journals had CRC-damaged lines")
-	flag.BoolVar(&o.coordinator, "coordinator", false, "spawn -shards subprocesses, restart crashed shards, and merge their journals")
-	flag.IntVar(&o.shards, "shards", 0, "shard count for -coordinator")
-	flag.StringVar(&o.shardDir, "shard-dir", "", "directory for the coordinator's shard journals")
-	flag.IntVar(&o.maxRestarts, "max-restarts", 2, "restarts each shard gets after its first launch before it degrades to a shard failure")
-	flag.IntVar(&o.stallProbes, "shard-stall-probes", 0, "probe intervals without shard journal growth before the coordinator SIGKILLs and restarts the shard (0 = off)")
-	flag.DurationVar(&o.stallInterval, "shard-stall-interval", 2*time.Second, "real-time probe period for -shard-stall-probes")
-	flag.StringVar(&o.repoDir, "repo", "", "content-addressed evaluation repository directory; stored cells replay without refitting, executed cells are written back")
-	flag.BoolVar(&o.repoReadonly, "repo-readonly", false, "consult -repo without writing executed cells back")
-	flag.BoolVar(&o.repoAllowDamage, "repo-allow-damage", false, "treat damaged -repo cells as misses (the cells rerun) instead of refusing the store")
-	flag.BoolVar(&o.simulateEnsemble, "simulate-ensemble", false, "simulate greedy ensemble selection over the predictions stored in -repo — no fits, lookup+blend energy only")
-	flag.Parse()
+	fs := flag.NewFlagSet("greenbench", flag.ContinueOnError)
+	fs.StringVar(&o.experiment, "experiment", "fig3", "experiment id (fig3..fig7, table3..table9, all)")
+	fs.IntVar(&o.seeds, "seeds", 3, "repeated runs per cell (paper uses 10)")
+	fs.IntVar(&o.datasets, "datasets", 0, "restrict to the first N suite datasets (0 = all 39)")
+	fs.StringVar(&o.names, "names", "", "comma-separated dataset names to run (overrides -datasets)")
+	fs.BoolVar(&o.quick, "quick", false, "tiny configuration for a fast smoke run")
+	fs.IntVar(&o.metaIters, "meta-iterations", 40, "BO iterations for development-stage experiments (paper uses 300)")
+	fs.IntVar(&o.metaTopK, "meta-topk", 8, "representative datasets for development-stage experiments (paper uses 20)")
+	fs.StringVar(&o.csvPath, "csv", "", "export the fig3 grid's raw records as CSV to this path")
+	fs.StringVar(&o.jsonPath, "json", "", "export the fig3 grid's raw records as JSON to this path")
+	fs.StringVar(&o.svgDir, "svg-dir", "", "write SVG charts of figures 3-5 into this directory")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0, "per-attempt fault-injection probability in [0,1] (0 = off)")
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 0, "fault-injection stream seed (decisions are order-independent)")
+	fs.Float64Var(&o.memoryGB, "memory-gb", 0, "machine memory model in GB for simulated OOM kills (0 = off)")
+	fs.IntVar(&o.retries, "retries", 0, "max Fit attempts per cell (0 = 1, or 3 with faults enabled); retry energy is charged")
+	fs.IntVar(&o.workers, "workers", 0, "grid cells run concurrently (0 = NumCPU); output is identical at any worker count")
+	fs.IntVar(&o.parallelism, "parallelism", 0, "within-cell kernel worker budget (0 = auto: idle cores split across uncached cells); output is bit-identical at any level")
+	fs.Float64Var(&o.hangRate, "hang-rate", 0, "per-attempt probability in [0,1] that a Fit hangs without progress, exercising the stall watchdog (0 = off)")
+	fs.IntVar(&o.wdProbes, "watchdog-probes", 0, "probe intervals without virtual progress before a cell is abandoned as stalled (0 = off, or 4 when -hang-rate > 0)")
+	fs.StringVar(&o.reportDir, "report-dir", "", "also write each experiment's rendered report into this directory (atomic replace)")
+	fs.StringVar(&o.shard, "shard", "", "run one content-addressed grid slice i/N (e.g. 0/4) into -repo")
+	fs.StringVar(&o.merge, "merge", "", "comma-separated store directories (globs allowed) to fuse into the aggregate exports instead of running")
+	fs.BoolVar(&o.coordinator, "coordinator", false, "spawn -shards subprocesses writing into -repo, restart crashed shards, and merge the store")
+	fs.IntVar(&o.shards, "shards", 0, "shard count for -coordinator")
+	fs.IntVar(&o.maxRestarts, "max-restarts", 2, "restarts each shard gets after its first launch before it degrades to a shard failure")
+	fs.IntVar(&o.stallProbes, "shard-stall-probes", 0, "probe intervals without growth of a shard's stored cells before the coordinator SIGKILLs and restarts the shard (0 = off)")
+	fs.DurationVar(&o.stallInterval, "shard-stall-interval", 2*time.Second, "real-time probe period for -shard-stall-probes")
+	fs.StringVar(&o.repoDir, "repo", "", "content-addressed evaluation repository directory; stored cells replay without refitting, executed cells are written back")
+	fs.BoolVar(&o.repoReadonly, "repo-readonly", false, "consult -repo without writing executed cells back")
+	fs.BoolVar(&o.repoAllowDamage, "repo-allow-damage", false, "treat damaged -repo or -merge cells as misses (the cells rerun, or stay missing in a merge) instead of refusing the store")
+	fs.BoolVar(&o.simulateEnsemble, "simulate-ensemble", false, "simulate greedy ensemble selection over the predictions stored in -repo — no fits, lookup+blend energy only")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	return o, o.validate()
+}
 
-	if err := o.validate(); err != nil {
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
 		os.Exit(2)
 	}
@@ -262,7 +304,7 @@ func main() {
 		err = runSimulateMode(cfg)
 	default:
 		ids := experimentIDs(o.experiment)
-		err = run(ids, cfg, meta, o.csvPath, o.jsonPath, o.svgDir, o.reportDir, o.journal, nil)
+		err = run(ids, cfg, meta, o.csvPath, o.jsonPath, o.svgDir, o.reportDir, nil)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
@@ -320,21 +362,15 @@ func gridConfig(o options) (bench.Config, error) {
 }
 
 // runShardMode executes one content-addressed slice of the fig3 grid
-// against its own journal. The shard's only durable output is the
-// journal; the summary goes to stderr so a coordinator piping shard
-// output never mistakes it for a report.
+// into the shared store, its only durable output; the summary goes to
+// stderr so a coordinator piping shard output never mistakes it for a
+// report.
 func runShardMode(o options, cfg bench.Config) error {
-	run, err := bench.RunShard(bench.DefaultSystems(), cfg, o.journal)
+	run, err := bench.RunShard(bench.DefaultSystems(), cfg, "")
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "greenbench: shard %s: %d cell(s) checkpointed to %s\n", o.shardSpec, len(run.Records), o.journal)
-	if run.Damaged > 0 {
-		fmt.Fprintf(os.Stderr, "greenbench: shard %s: %d damaged journal line(s) were skipped and their cells rerun\n", o.shardSpec, run.Damaged)
-	}
-	if run.Repo.Consulted() {
-		fmt.Fprintf(os.Stderr, "greenbench: shard %s: %s\n", o.shardSpec, run.Repo.Summary())
-	}
+	fmt.Fprintf(os.Stderr, "greenbench: shard %s: %d cell(s) in %s; %s\n", o.shardSpec, len(run.Records), o.repoDir, run.Repo.Summary())
 	return nil
 }
 
@@ -353,100 +389,68 @@ func runSimulateMode(cfg bench.Config) error {
 	return nil
 }
 
-// mergePaths expands the -merge argument: comma-separated paths, each
-// possibly a glob.
-func mergePaths(arg string) ([]string, error) {
-	var paths []string
-	for _, part := range strings.Split(arg, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		matches, err := filepath.Glob(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad -merge pattern %q: %w", part, err)
-		}
-		if len(matches) == 0 {
-			return nil, fmt.Errorf("-merge pattern %q matches no journals", part)
-		}
-		paths = append(paths, matches...)
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("-merge needs at least one journal path")
-	}
-	return paths, nil
-}
-
-// mergeJournals fuses shard journals into the canonical fig3 record
-// sequence and reports per-journal coverage and damage. With a
-// repository configured, journal holes are fused from the store and the
-// repository's hit and damage counts are surfaced alongside the journal
-// damage counters.
-func mergeJournals(paths []string, cfg bench.Config) (*bench.MergeResult, error) {
+// mergeStores fuses the fig3 grid's cells out of the stores and
+// reports each store's coverage and damage.
+func mergeStores(stores []*repo.Repository, cfg bench.Config) (*bench.MergeResult, error) {
 	systems := bench.DefaultSystems()
-	fingerprint := bench.Fingerprint(systems, cfg)
-	refs := bench.EnumerateCellRefs(systems, cfg)
-	res, err := bench.MergeJournalsRepo(paths, fingerprint, refs, cfg.Repo)
+	res, err := bench.MergeStores(stores, bench.Fingerprint(systems, cfg), bench.EnumerateCellRefs(systems, cfg))
 	if err != nil {
 		return nil, err
 	}
-	for _, jr := range res.PerJournal {
-		shard := jr.Shard
-		if shard == "" {
-			shard = "whole-grid"
-		}
-		fmt.Fprintf(os.Stderr, "greenbench: merge: %s (shard %s): %d cell(s), %d damaged line(s)\n", jr.Path, shard, jr.Cells, jr.Damaged)
-	}
-	if cfg.Repo != nil {
-		fmt.Fprintf(os.Stderr, "greenbench: merge: repository: %d cell(s) fused from the store, %d damaged\n", res.RepoHits, res.RepoDamaged)
+	for _, sr := range res.PerStore {
+		fmt.Fprintf(os.Stderr, "greenbench: merge: %s: %d cell(s), %d damaged\n", sr.Dir, sr.Cells, sr.Damaged)
 	}
 	return res, nil
 }
 
-// runMergeMode fuses shard journals and renders the fig3-derived
-// experiments and exports from them, without executing any grid cell.
-// Journal damage makes the merge exit non-zero — the merged artifact is
-// complete only if every damaged cell was re-covered, and the operator
-// should know their storage is rotting — unless -merge-allow-damage.
+// runMergeMode fuses stores and renders the fig3-derived experiments
+// and exports from them, without executing any grid cell. Damage is
+// refused unless -repo-allow-damage counts it; either way the merged
+// artifact must cover every cell.
 func runMergeMode(o options, cfg bench.Config, meta metaopt.Options) error {
-	paths, err := mergePaths(o.merge)
-	if err != nil {
-		return err
+	var stores []*repo.Repository
+	for _, dir := range o.mergeDirs {
+		rp, err := repo.Open(dir, repo.Options{ReadOnly: true, AllowDamage: o.repoAllowDamage})
+		if err != nil {
+			return err
+		}
+		stores = append(stores, rp)
 	}
-	res, err := mergeJournals(paths, cfg)
+	res, err := mergeStores(stores, cfg)
 	if err != nil {
 		return err
 	}
 	if len(res.Missing) > 0 {
-		return fmt.Errorf("merge covers %d of %d grid cells — %d missing (first: %s); run the absent shards or merge their journals",
+		return fmt.Errorf("merge covers %d of %d grid cells — %d missing (first: %s); run the absent shards or merge their stores",
 			len(res.Records)-len(res.Missing), len(res.Records), len(res.Missing), res.Missing[0].ID())
 	}
-	if res.Damaged > 0 && !o.mergeAllowDamage {
-		return fmt.Errorf("%d damaged journal line(s) across shard journals; rerun the affected shards or pass -merge-allow-damage", res.Damaged)
-	}
 	fig3 := bench.Fig3FromRecords(cfg, res.Records)
-	return run(experimentIDs(o.experiment), cfg, meta, o.csvPath, o.jsonPath, o.svgDir, o.reportDir, "", &fig3)
+	return run(experimentIDs(o.experiment), cfg, meta, o.csvPath, o.jsonPath, o.svgDir, o.reportDir, &fig3)
 }
 
 // runCoordinatorMode spawns one subprocess per shard (this binary,
-// re-invoked with -shard i/N), restarts shards that crash or stall,
-// then merges the shard journals into the standard exports. A shard
-// that exhausts its restart budget is reported — its cells appear as
-// shard-failure records in the failure taxonomy — rather than aborting
-// the sweep.
+// re-invoked with -shard i/N and the same -repo), restarts shards that
+// crash or stall, then merges the store into the standard exports. A
+// shard that exhausts its restart budget is reported — its cells appear
+// as shard-failure records in the failure taxonomy — rather than
+// aborting the sweep.
 func runCoordinatorMode(o options, cfg bench.Config, meta metaopt.Options) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("resolving own binary for shard subprocesses: %w", err)
 	}
 	base := forwardedArgs(o)
+	systems := bench.DefaultSystems()
+	fingerprint := bench.Fingerprint(systems, cfg)
 	ccfg := bench.CoordinatorConfig{
 		Shards:      o.shards,
 		MaxRestarts: o.maxRestarts,
 		Deadline:    bench.WatchdogPolicy{Probes: o.stallProbes, Interval: o.stallInterval},
-		Dir:         o.shardDir,
-		Command: func(shard bench.ShardSpec, journal string) *exec.Cmd {
-			cmd := exec.Command(exe, append(base, "-shard", shard.String(), "-journal", journal)...)
+		Repo:        cfg.Repo,
+		Fingerprint: fingerprint,
+		Cells:       bench.EnumerateCellRefs(systems, cfg),
+		Command: func(shard bench.ShardSpec) *exec.Cmd {
+			cmd := exec.Command(exe, append(base, "-shard", shard.String())...)
 			cmd.Stdout = os.Stderr
 			cmd.Stderr = os.Stderr
 			return cmd
@@ -465,30 +469,25 @@ func runCoordinatorMode(o options, cfg bench.Config, meta metaopt.Options) error
 			st.Shard, st.Launches, st.DeadlineKills, state)
 	}
 
-	merged, err := mergeJournals(res.JournalPaths, cfg)
+	merged, err := mergeStores([]*repo.Repository{cfg.Repo}, cfg)
 	if err != nil {
 		return err
 	}
-	fingerprint := bench.Fingerprint(bench.DefaultSystems(), cfg)
 	if err := merged.VerifyMissingOwnedBy(fingerprint, res.Failed()); err != nil {
 		return err
 	}
 	if n := len(merged.Missing); n > 0 {
 		fmt.Fprintf(os.Stderr, "greenbench: coordinator: %d cell(s) lost to dead shards are reported as %s records\n", n, faults.ShardFailure)
 	}
-	if merged.Damaged > 0 {
-		// Damaged lines in a *completed* shard journal were already healed
-		// by that shard's resume (the cells reran and re-checkpointed), and
-		// completeness was just verified — so surface, don't abort.
-		fmt.Fprintf(os.Stderr, "greenbench: coordinator: %d damaged journal line(s) were healed by shard resume\n", merged.Damaged)
-	}
 	fig3 := bench.Fig3FromRecords(cfg, merged.Records)
-	return run(experimentIDs(o.experiment), cfg, meta, o.csvPath, o.jsonPath, o.svgDir, o.reportDir, "", &fig3)
+	return run(experimentIDs(o.experiment), cfg, meta, o.csvPath, o.jsonPath, o.svgDir, o.reportDir, &fig3)
 }
 
 // forwardedArgs rebuilds the grid-defining flags for a shard
 // subprocess. Only flags that change which records the grid produces
-// (plus throughput knobs) are forwarded; export and mode flags are not.
+// (plus throughput knobs and the shared store) are forwarded; export and
+// mode flags are not, nor -repo-readonly: a shard's store must be
+// writable.
 func forwardedArgs(o options) []string {
 	args := []string{
 		"-seeds", strconv.Itoa(o.seeds),
@@ -512,12 +511,9 @@ func forwardedArgs(o options) []string {
 	}
 	if o.repoDir != "" {
 		args = append(args, "-repo", o.repoDir)
-		if o.repoReadonly {
-			args = append(args, "-repo-readonly")
-		}
-		if o.repoAllowDamage {
-			args = append(args, "-repo-allow-damage")
-		}
+	}
+	if o.repoAllowDamage {
+		args = append(args, "-repo-allow-damage")
 	}
 	return args
 }
@@ -526,22 +522,21 @@ func forwardedArgs(o options) []string {
 // is never executed: the preloaded result (from a merge) feeds every
 // fig3-derived experiment, which keeps offline rendering byte-identical
 // to a live run.
-func run(ids []string, cfg bench.Config, meta metaopt.Options, csvPath, jsonPath, svgDir, reportDir, journal string, fig3 *bench.Fig3Result) error {
+func run(ids []string, cfg bench.Config, meta metaopt.Options, csvPath, jsonPath, svgDir, reportDir string, fig3 *bench.Fig3Result) error {
 	// fig3's grid feeds several tables; compute it lazily, once.
 	var fig3Err error
 	needFig3 := func() *bench.Fig3Result {
 		if fig3 == nil && fig3Err == nil {
 			fmt.Fprintln(os.Stderr, "greenbench: running the fig3 grid (feeds fig4, fig7, table4, table6, table7)...")
-			r, err := bench.Fig3Resumable(cfg, journal)
+			grid, err := bench.RunShard(bench.DefaultSystems(), cfg, "")
 			if err != nil {
 				fig3Err = err
 				fig3 = &bench.Fig3Result{}
 				return fig3
 			}
+			r := bench.Fig3FromRecords(cfg, grid.Records)
+			r.Repo = grid.Repo
 			fig3 = &r
-			if fig3.JournalDamaged > 0 {
-				fmt.Fprintf(os.Stderr, "greenbench: journal: %d damaged checkpoint line(s) were skipped and their cells rerun\n", fig3.JournalDamaged)
-			}
 			if fig3.Repo.Consulted() {
 				fmt.Fprintf(os.Stderr, "greenbench: %s\n", fig3.Repo.Summary())
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	err := run([]string{"fig99"}, bench.Config{}, metaopt.Options{}, "", "", "", "", "", nil)
+	err := run([]string{"fig99"}, bench.Config{}, metaopt.Options{}, "", "", "", "", nil)
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
@@ -28,7 +29,7 @@ func TestRunTinyFig4(t *testing.T) {
 		Seeds:    1,
 		Scale:    openml.SmallScale(),
 	}
-	if err := run([]string{"fig4"}, cfg, metaopt.Options{}, "", "", "", "", "", nil); err != nil {
+	if err := run([]string{"fig4"}, cfg, metaopt.Options{}, "", "", "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -45,60 +46,70 @@ func defaultOptions() options {
 }
 
 func TestOptionsValidate(t *testing.T) {
+	store := t.TempDir()
 	cases := []struct {
 		name    string
 		mutate  func(*options)
 		wantErr string // substring of the error; "" means the options must validate
 	}{
 		{name: "defaults", mutate: func(o *options) {}},
-		{name: "shard with journal", mutate: func(o *options) {
+		{name: "first shard", mutate: func(o *options) {
 			o.shard = "0/4"
-			o.journal = "s0.jsonl"
+			o.repoDir = "store"
 		}},
 		{name: "last shard", mutate: func(o *options) {
 			o.shard = "3/4"
-			o.journal = "s3.jsonl"
+			o.repoDir = "store"
 		}},
 		{name: "coordinator", mutate: func(o *options) {
 			o.coordinator = true
 			o.shards = 4
-			o.shardDir = "run"
+			o.repoDir = "store"
 		}},
 		{name: "merge fig3-derived", mutate: func(o *options) {
-			o.merge = "s0.jsonl,s1.jsonl"
+			o.merge = store + "," + store + "*"
 			o.experiment = "fig3,table4,winners"
+		}},
+		{name: "merge allow damage", mutate: func(o *options) {
+			o.merge = store
+			o.repoAllowDamage = true
 		}},
 
 		{name: "shard index at count", mutate: func(o *options) {
 			o.shard = "4/4"
-			o.journal = "s.jsonl"
+			o.repoDir = "store"
 		}, wantErr: "shard"},
 		{name: "shard index beyond count", mutate: func(o *options) {
 			o.shard = "7/4"
-			o.journal = "s.jsonl"
+			o.repoDir = "store"
 		}, wantErr: "shard"},
 		{name: "shard count zero", mutate: func(o *options) {
 			o.shard = "0/0"
-			o.journal = "s.jsonl"
+			o.repoDir = "store"
 		}, wantErr: "shard"},
 		{name: "shard count negative", mutate: func(o *options) {
 			o.shard = "0/-2"
-			o.journal = "s.jsonl"
+			o.repoDir = "store"
 		}, wantErr: "shard"},
 		{name: "shard negative index", mutate: func(o *options) {
 			o.shard = "-1/4"
-			o.journal = "s.jsonl"
+			o.repoDir = "store"
 		}, wantErr: "shard"},
 		{name: "shard garbage", mutate: func(o *options) {
 			o.shard = "banana"
-			o.journal = "s.jsonl"
+			o.repoDir = "store"
 		}, wantErr: "shard"},
-		{name: "shard without journal", mutate: func(o *options) {
+		{name: "shard without repo", mutate: func(o *options) {
 			o.shard = "0/2"
-		}, wantErr: "requires -journal"},
+		}, wantErr: "require a writable -repo"},
+		{name: "shard with readonly repo", mutate: func(o *options) {
+			o.shard = "0/2"
+			o.repoDir = "store"
+			o.repoReadonly = true
+		}, wantErr: "require a writable -repo"},
 		{name: "shard of non-fig3 experiment", mutate: func(o *options) {
 			o.shard = "0/2"
-			o.journal = "s.jsonl"
+			o.repoDir = "store"
 			o.experiment = "table8"
 		}, wantErr: "cannot be sharded"},
 
@@ -138,49 +149,65 @@ func TestOptionsValidate(t *testing.T) {
 
 		{name: "shard and merge together", mutate: func(o *options) {
 			o.shard = "0/2"
-			o.journal = "s.jsonl"
-			o.merge = "a.jsonl"
+			o.repoDir = "store"
+			o.merge = store
 		}, wantErr: "mutually exclusive"},
 		{name: "coordinator and merge together", mutate: func(o *options) {
 			o.coordinator = true
 			o.shards = 2
-			o.shardDir = "run"
-			o.merge = "a.jsonl"
+			o.repoDir = "store"
+			o.merge = store
 		}, wantErr: "mutually exclusive"},
 		{name: "coordinator without shards", mutate: func(o *options) {
 			o.coordinator = true
-			o.shardDir = "run"
+			o.repoDir = "store"
 		}, wantErr: "-shards"},
 		{name: "coordinator without dir", mutate: func(o *options) {
 			o.coordinator = true
 			o.shards = 2
-		}, wantErr: "-shard-dir"},
+		}, wantErr: "require a writable -repo"},
+		{name: "coordinator with readonly repo", mutate: func(o *options) {
+			o.coordinator = true
+			o.shards = 2
+			o.repoDir = "store"
+			o.repoReadonly = true
+		}, wantErr: "require a writable -repo"},
 		{name: "coordinator negative restarts", mutate: func(o *options) {
 			o.coordinator = true
 			o.shards = 2
-			o.shardDir = "run"
+			o.repoDir = "store"
 			o.maxRestarts = -1
 		}, wantErr: "-max-restarts"},
 		{name: "coordinator negative stall probes", mutate: func(o *options) {
 			o.coordinator = true
 			o.shards = 2
-			o.shardDir = "run"
+			o.repoDir = "store"
 			o.stallProbes = -1
 		}, wantErr: "-shard-stall-probes"},
 		{name: "coordinator stall probes without interval", mutate: func(o *options) {
 			o.coordinator = true
 			o.shards = 2
-			o.shardDir = "run"
+			o.repoDir = "store"
 			o.stallProbes = 3
 			o.stallInterval = 0
 		}, wantErr: "-shard-stall-interval"},
 		{name: "allow-damage without merge", mutate: func(o *options) {
-			o.mergeAllowDamage = true
-		}, wantErr: "-merge-allow-damage"},
+			o.repoAllowDamage = true
+		}, wantErr: "-repo-allow-damage only applies to -repo or -merge"},
 		{name: "merge of grid-rerunning experiment", mutate: func(o *options) {
-			o.merge = "a.jsonl"
+			o.merge = store
 			o.experiment = "fig3,table8"
 		}, wantErr: "reruns a grid"},
+		{name: "merge matches no store", mutate: func(o *options) {
+			o.merge = store + "/absent-*"
+		}, wantErr: "matches no store directory"},
+		{name: "merge pattern among good ones matches no store", mutate: func(o *options) {
+			o.merge = store + "," + store + "/absent"
+		}, wantErr: "matches no store directory"},
+		{name: "merge with repo", mutate: func(o *options) {
+			o.merge = store
+			o.repoDir = "store"
+		}, wantErr: "-merge reads only the stores it lists"},
 
 		{name: "repo alone", mutate: func(o *options) {
 			o.repoDir = "store"
@@ -196,7 +223,6 @@ func TestOptionsValidate(t *testing.T) {
 		{name: "repo with shard", mutate: func(o *options) {
 			o.repoDir = "store"
 			o.shard = "0/2"
-			o.journal = "s0.jsonl"
 		}},
 		{name: "simulate ensemble", mutate: func(o *options) {
 			o.repoDir = "store"
@@ -214,14 +240,14 @@ func TestOptionsValidate(t *testing.T) {
 		{name: "simulate ensemble with merge", mutate: func(o *options) {
 			o.repoDir = "store"
 			o.simulateEnsemble = true
-			o.merge = "a.jsonl"
+			o.merge = store
 		}, wantErr: "mutually exclusive"},
 		{name: "simulate ensemble with coordinator", mutate: func(o *options) {
 			o.repoDir = "store"
 			o.simulateEnsemble = true
 			o.coordinator = true
 			o.shards = 2
-			o.shardDir = "run"
+			o.repoDir = "store"
 		}, wantErr: "mutually exclusive"},
 	}
 	for _, tc := range cases {
@@ -253,7 +279,7 @@ func TestOptionsValidate(t *testing.T) {
 func TestValidateParsesShardSpec(t *testing.T) {
 	o := defaultOptions()
 	o.shard = "2/4"
-	o.journal = "s2.jsonl"
+	o.repoDir = "store"
 	if err := o.validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,5 +306,57 @@ func TestFig3Derived(t *testing.T) {
 		if fig3Derived(id) {
 			t.Errorf("fig3Derived(%q) = true, want false", id)
 		}
+	}
+}
+
+// TestParseArgs drives the command line end to end: every case here is a
+// usage error, which main reports with exit status 2. The flags of the
+// retired run journal are unknown, not aliases of -repo.
+func TestParseArgs(t *testing.T) {
+	store := t.TempDir()
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{"journal flag is gone", []string{"-journal", "run.jsonl"}, "flag provided but not defined: -journal"},
+		{"shard-dir flag is gone", []string{"-coordinator", "-shards", "2", "-shard-dir", "run"}, "flag provided but not defined: -shard-dir"},
+		{"merge-allow-damage flag is gone", []string{"-merge", store, "-merge-allow-damage"}, "flag provided but not defined: -merge-allow-damage"},
+		{"shard without repo", []string{"-shard", "0/2"}, "require a writable -repo"},
+		{"shard with readonly repo", []string{"-shard", "0/2", "-repo", store, "-repo-readonly"}, "require a writable -repo"},
+		{"coordinator with readonly repo", []string{"-coordinator", "-shards", "2", "-repo", store, "-repo-readonly"}, "require a writable -repo"},
+		{"merge matches no store", []string{"-merge", filepath.Join(store, "nothing-*")}, "matches no store directory"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := parseArgs(tc.args)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("parseArgs(%q) = %v, want error containing %q", tc.args, err, tc.wantErr)
+			}
+		})
+	}
+
+	o, err := parseArgs([]string{"-shard", "1/2", "-repo", store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.shardSpec != (bench.ShardSpec{Index: 1, Count: 2}) || o.repoDir != store {
+		t.Errorf("parsed %+v / %q, want shard 1/2 into %s", o.shardSpec, o.repoDir, store)
+	}
+}
+
+// TestForwardedArgsKeepStoreWritable: shard subprocesses get the shared
+// store and its damage policy, never -repo-readonly.
+func TestForwardedArgsKeepStoreWritable(t *testing.T) {
+	o := defaultOptions()
+	o.repoDir = "store"
+	o.repoReadonly = true
+	o.repoAllowDamage = true
+	args := strings.Join(forwardedArgs(o), " ")
+	if !strings.Contains(args, "-repo store") || !strings.Contains(args, "-repo-allow-damage") {
+		t.Errorf("forwarded args %q lack the store or its damage policy", args)
+	}
+	if strings.Contains(args, "-repo-readonly") {
+		t.Errorf("forwarded args %q make the shard store read-only", args)
 	}
 }

@@ -57,9 +57,9 @@ type Config struct {
 	Retry RetryPolicy
 	// Workers bounds the number of grid cells executed concurrently.
 	// Zero (or negative) defaults to runtime.NumCPU(). Records, exports
-	// and journal resume semantics are identical at every worker count,
-	// so Workers is a pure throughput knob and deliberately not part of
-	// the journal fingerprint.
+	// and resume semantics are identical at every worker count, so
+	// Workers is a pure throughput knob and deliberately not part of the
+	// grid fingerprint.
 	Workers int
 	// Parallelism sets the within-cell worker budget handed to the ml
 	// kernels (ml.SetParallelism) for the duration of the grid. Zero
@@ -68,7 +68,7 @@ type Config struct {
 	// 1 — go to individual fits. The kernels' sanctioned reduction
 	// orders make every proba, Cost and export bit-identical at any
 	// level, so like Workers this is a pure throughput knob and
-	// deliberately not part of the journal fingerprint.
+	// deliberately not part of the grid fingerprint.
 	Parallelism int
 	// Watchdog configures the per-cell stall watchdog. The zero value
 	// disables it unless hang faults are injected, in which case
@@ -79,10 +79,10 @@ type Config struct {
 	// grid (see ShardSpec). The zero value runs the whole grid. Like
 	// Workers, sharding is an execution knob, not part of the grid's
 	// identity: the cells a shard runs are bit-identical to the same
-	// cells of an unsharded run, and merged shard journals reproduce
-	// the unsharded exports byte for byte. It is therefore excluded
-	// from the grid fingerprint; the shard journal header binds the
-	// shard assignment separately.
+	// cells of an unsharded run, and a merge of the store the shards
+	// wrote reproduces the unsharded exports byte for byte. It is
+	// therefore excluded from the grid fingerprint, and a store filled
+	// under one shard assignment resumes under any other.
 	Shard ShardSpec
 	// Repo, when set, is the content-addressed evaluation repository
 	// every cell consults before executing: a stored cell replays its
@@ -123,7 +123,7 @@ func (s RepoStats) Consulted() bool { return s != RepoStats{} }
 // a given grid stalls identically at every worker count and probe
 // interval; the probe timer is operator-facing real time and only sets
 // how quickly a hang is reclaimed. Like Workers, the policy is a
-// liveness knob and not part of the journal fingerprint.
+// liveness knob and not part of the grid fingerprint.
 type WatchdogPolicy struct {
 	// Probes is how many consecutive probe intervals without virtual
 	// progress abandon the cell. Zero disables the watchdog (unless hang
@@ -292,21 +292,23 @@ func RunGrid(systems []automl.System, cfg Config) []Record {
 }
 
 // runGrid executes the grid: it enumerates every cell (hoisting dataset
-// generation, train/test splits, journal lookups and repository
-// consultation out of the execution path), then runs the cells serially
-// or on a bounded worker pool depending on cfg.Workers. Cells are
-// independent — their RNG streams derive from cell identity, not shared
-// state — so a resumed run (or a parallel one) replays the remaining
-// cells exactly as an uninterrupted serial run would, and the returned
-// records are byte-identical at every worker count.
-func runGrid(systems []automl.System, cfg Config, journal *Journal) ([]Record, RepoStats, error) {
+// generation, train/test splits and repository consultation out of the
+// execution path), then runs the cells serially or on a bounded worker
+// pool depending on cfg.Workers, writing each executed cell back to
+// cfg.Repo. Cells are independent — their RNG streams derive from cell
+// identity, not shared state — so a resumed run (a warm replay of a
+// killed run's store) or a parallel one executes the remaining cells
+// exactly as an uninterrupted serial run would, and the returned
+// records are byte-identical at every worker count. crash, when set, is
+// the chaos hook every store write passes through.
+func runGrid(systems []automl.System, cfg Config, crash crashFn) ([]Record, RepoStats, error) {
 	cfg = cfg.normalized()
 	inj := faults.New(cfg.Faults)
 	fingerprint := ""
 	if cfg.Repo != nil || cfg.Shard.Enabled() {
 		fingerprint = Fingerprint(systems, cfg)
 	}
-	cells, stats, err := enumerateGrid(systems, cfg, inj, journal, fingerprint)
+	cells, stats, err := enumerateGrid(systems, cfg, inj, fingerprint)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -316,14 +318,14 @@ func runGrid(systems []automl.System, cfg Config, journal *Journal) ([]Record, R
 	// wall-clock time, never a record.
 	prev := ml.SetParallelism(cellParallelism(cfg, cells))
 	defer ml.SetParallelism(prev)
+	st := &cellStore{rp: cfg.Repo, fingerprint: fingerprint, crash: crash}
 	var records []Record
-	var stored int
 	if cfg.Workers == 1 {
-		records, stored, err = runGridSerial(cells, cfg, inj, journal, fingerprint)
+		records, err = runGridSerial(cells, cfg, inj, st)
 	} else {
-		records, stored, err = runGridParallel(cells, cfg, inj, journal, fingerprint)
+		records, err = runGridParallel(cells, cfg, inj, st)
 	}
-	stats.Stored = stored
+	stats.Stored = int(st.stored.Load())
 	return records, stats, err
 }
 
@@ -510,7 +512,7 @@ func runCell(sys automl.System, train, test tabular.View, budget time.Duration, 
 		proba, cost, err = safePredictProba(fb, test, inferMeter)
 		inferCost.Add(cost)
 		if err != nil {
-			return rec, nil
+			return rec, nil // no predictions: stored as a zero-row cell
 		}
 		rec.Fallback = true
 	}

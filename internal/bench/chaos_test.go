@@ -9,12 +9,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/automl"
 	"repro/internal/faults"
 	"repro/internal/openml"
+	"repro/internal/repo"
 )
 
 // chaosSystems keeps the chaos grids small enough to rerun dozens of
@@ -40,40 +43,79 @@ func chaosCfg() Config {
 	}
 }
 
-// chaosKill simulates the process dying at one deterministic journal
-// crash point: before the fatal append nothing is affected, and every
-// append after it fails immediately — a dead process writes nothing
-// more. Mode "torn" additionally tears the fatal line in half before
-// dying, the on-disk state a real kill mid-write leaves behind.
-type chaosKill struct {
-	mode  string // crashAppendStart, crashAppendWritten, crashAppendSynced, or "torn"
-	at    int    // zero-based append sequence to die at
-	dead  bool
-	fired bool
+// chaosKill returns a crash hook that kills the run at its seq-th store
+// write by calling die, after leaving the store in the state the mode
+// names:
+//
+//   - start: before any byte of the cell is written;
+//   - torn: the cell's temp file half-written, never renamed;
+//   - written: the temp file complete and synced, never renamed;
+//   - synced: the cell renamed into place and durable.
+//
+// torn and written let the write finish and then rewind its rename, so
+// the temp file beside the cell holds exactly the bytes a kill inside
+// atomicio's write would have left. ok is false for an unknown mode.
+func chaosKill(mode string, seq int, die func() error) (hook crashFn, ok bool) {
+	point := crashStoreDone
+	switch mode {
+	case "start":
+		point = crashStoreStart
+	case "torn", "written", "synced":
+	default:
+		return nil, false
+	}
+	return func(p string, s int, path string) error {
+		if p != point || s != seq {
+			return nil
+		}
+		if mode == "torn" || mode == "written" {
+			tmp := filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp-killed")
+			if err := os.Rename(path, tmp); err != nil {
+				return err
+			}
+			if mode == "torn" {
+				fi, err := os.Stat(tmp)
+				if err != nil {
+					return err
+				}
+				if err := os.Truncate(tmp, fi.Size()/2); err != nil {
+					return err
+				}
+			}
+		}
+		return die()
+	}, true
 }
 
-func (k *chaosKill) hook(point string, seq int, f *os.File, line []byte) error {
-	if k.dead {
-		return errors.New("chaos: journal belongs to a dead process")
+// chaosKiller simulates the process dying at one deterministic store
+// crash point (see chaosKill for the modes): before the fatal write
+// nothing is affected, and every write after it fails immediately — a
+// dead process writes nothing more. Parallel workers consult it
+// concurrently, hence the atomics.
+type chaosKiller struct {
+	dead, fired atomic.Bool
+	kill        crashFn
+}
+
+func newChaosKiller(t *testing.T, mode string, at int) *chaosKiller {
+	k := &chaosKiller{}
+	kill, ok := chaosKill(mode, at, func() error {
+		k.dead.Store(true)
+		k.fired.Store(true)
+		return errors.New("chaos: killed in mode " + mode)
+	})
+	if !ok {
+		t.Fatalf("unknown chaos mode %q", mode)
 	}
-	target, torn := k.mode, false
-	if k.mode == "torn" {
-		target, torn = crashAppendWritten, true
+	k.kill = kill
+	return k
+}
+
+func (k *chaosKiller) hook(point string, seq int, path string) error {
+	if k.dead.Load() {
+		return errors.New("chaos: store belongs to a dead process")
 	}
-	if point != target || seq != k.at {
-		return nil
-	}
-	k.dead, k.fired = true, true
-	if torn {
-		fi, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		if err := f.Truncate(fi.Size() - int64(len(line)/2)); err != nil {
-			return err
-		}
-	}
-	return errors.New("chaos: killed at " + point)
+	return k.kill(point, seq, path)
 }
 
 // chaosExports renders the artifacts greenbench would write from the
@@ -95,10 +137,11 @@ func chaosExports(t *testing.T, records []Record) (csv, js, svg []byte) {
 }
 
 // TestChaosKillResumeByteIdentical is the crash-chaos contract: a run
-// killed at every deterministic journal crash point — before the write,
-// mid-write with a torn line, after the write, and after the sync — and
-// then resumed must yield records and CSV/JSON/SVG exports
-// byte-identical to an uninterrupted run, at worker counts 1 and 4.
+// killed at every deterministic store crash point — before the write,
+// with the cell's temp file torn, with it complete but never renamed,
+// and after the rename — and then resumed against the same store must
+// yield records and CSV/JSON/SVG exports byte-identical to an
+// uninterrupted run, at worker counts 1 and 4.
 func TestChaosKillResumeByteIdentical(t *testing.T) {
 	cfg := chaosCfg()
 	want := RunGrid(chaosSystems(), withWorkers(cfg, 1))
@@ -115,39 +158,30 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 		t.Fatal("chaos baseline has no stalled cells — retune chaosCfg's hang rate or fault seed")
 	}
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
-	appends := len(want) // every cell journals exactly once in an uninterrupted run
+	writes := len(want) // every cell is stored exactly once in an uninterrupted run
 
-	fingerprint := Fingerprint(chaosSystems(), cfg)
-	modes := []string{crashAppendStart, "torn", crashAppendWritten, crashAppendSynced}
 	for _, workers := range []int{1, 4} {
-		for _, mode := range modes {
+		for _, mode := range []string{"start", "torn", "written", "synced"} {
 			// The torn-write mode — the trickiest recovery — is swept at
-			// every append; the cleaner kills sample first/middle/last to
+			// every write; the cleaner kills sample first/middle/last to
 			// keep the matrix affordable under -race.
-			seqs := []int{0, appends / 2, appends - 1}
+			seqs := []int{0, writes / 2, writes - 1}
 			if mode == "torn" {
 				seqs = seqs[:0]
-				for at := 0; at < appends; at++ {
+				for at := 0; at < writes; at++ {
 					seqs = append(seqs, at)
 				}
 			}
 			for _, at := range seqs {
-				name := fmt.Sprintf("workers=%d/%s/append=%d", workers, mode, at)
-				path := filepath.Join(t.TempDir(), "run.jsonl")
-
-				j, err := OpenJournal(path, fingerprint)
-				if err != nil {
-					t.Fatal(err)
-				}
-				kill := &chaosKill{mode: mode, at: at}
-				j.crash = kill.hook
-				_, _, err = runGrid(chaosSystems(), withWorkers(cfg, workers), j)
-				j.Close()
-				if err == nil || !kill.fired {
-					t.Fatalf("%s: kill did not abort the run (err=%v, fired=%v)", name, err, kill.fired)
+				name := fmt.Sprintf("workers=%d/%s/write=%d", workers, mode, at)
+				scfg := withStore(withWorkers(cfg, workers), openTestRepo(t, repo.Options{}))
+				kill := newChaosKiller(t, mode, at)
+				_, _, err := runGrid(chaosSystems(), scfg, kill.hook)
+				if err == nil || !kill.fired.Load() {
+					t.Fatalf("%s: kill did not abort the run (err=%v, fired=%v)", name, err, kill.fired.Load())
 				}
 
-				got, err := RunGridResumable(chaosSystems(), withWorkers(cfg, workers), path)
+				got, _, err := runGrid(chaosSystems(), scfg, nil)
 				if err != nil {
 					t.Fatalf("%s: resume: %v", name, err)
 				}
@@ -160,6 +194,59 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestChaosTornCellIgnoredAndRerun pins what a kill mid-write leaves
+// behind: a half-written ".<hash>.cell.tmp-*" beside the cells. Walk,
+// Get and MergeStores must all ignore it — the cell reads as missing,
+// never as damage — and the resumed run must execute that cell again.
+func TestChaosTornCellIgnoredAndRerun(t *testing.T) {
+	cfg := mergeCfg()
+	systems := chaosSystems()
+	rp := openTestRepo(t, repo.Options{})
+	scfg := withStore(withWorkers(cfg, 1), rp)
+	fingerprint := Fingerprint(systems, cfg)
+	refs := EnumerateCellRefs(systems, cfg)
+
+	const at = 2
+	if _, _, err := runGrid(systems, scfg, newChaosKiller(t, "torn", at).hook); err == nil {
+		t.Fatal("torn kill did not abort the run")
+	}
+	torn, err := filepath.Glob(filepath.Join(rp.Dir(), fingerprint, ".*.cell.tmp-*"))
+	if err != nil || len(torn) != 1 {
+		t.Fatalf("want exactly one torn temp file beside the cells, got %v (err %v)", torn, err)
+	}
+	tornCell := refs[at] // workers=1 writes cells in grid order
+	if !strings.HasPrefix(filepath.Base(torn[0]), "."+filepath.Base(rp.CellPath(fingerprint, tornCell.ID()))+".tmp-") {
+		t.Fatalf("torn temp %s does not sit beside cell %s", torn[0], tornCell.ID())
+	}
+
+	walked := 0
+	if damaged, err := rp.Walk(func(*repo.Entry) error { walked++; return nil }); err != nil || damaged != 0 || walked != at {
+		t.Errorf("Walk saw %d cells, %d damaged (err %v), want the %d intact ones", walked, damaged, err, at)
+	}
+	if e, damaged, err := rp.Get(fingerprint, tornCell.ID()); e != nil || damaged || err != nil {
+		t.Errorf("Get of the torn cell = (%v, %v, %v), want a clean miss", e, damaged, err)
+	}
+	merged, err := MergeStores([]*repo.Repository{rp}, fingerprint, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Damaged != 0 || len(merged.Missing) != len(refs)-at || merged.Missing[0] != tornCell {
+		t.Errorf("merge saw %d damaged and %d missing (first %v), want 0 damaged and the torn cell first of %d missing",
+			merged.Damaged, len(merged.Missing), merged.Missing, len(refs)-at)
+	}
+
+	got, stats, err := runGrid(systems, scfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != (RepoStats{Hits: at, Misses: len(refs) - at, Stored: len(refs) - at}) {
+		t.Errorf("resume stats %+v, want %d hits and the torn cell among %d reruns", stats, at, len(refs)-at)
+	}
+	if !reflect.DeepEqual(got, RunGrid(systems, withWorkers(cfg, 1))) {
+		t.Error("resumed records differ from an uninterrupted run")
 	}
 }
 

@@ -4,20 +4,20 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"repro/internal/repo"
 	"repro/internal/vclock"
 )
 
 // CoordinatorConfig drives a multi-process sharded sweep: the
 // coordinator spawns one subprocess per shard, each running its
-// content-addressed slice of the grid against its own journal, and
-// babysits them — crashed shards restart and resume from their partial
-// journal, wedged shards are reclaimed by a process-level deadline, and
-// a shard that exhausts its restart budget degrades the sweep instead
-// of aborting it.
+// content-addressed slice of the grid into one shared store, and
+// babysits them — crashed shards restart and resume from the cells
+// they already stored, wedged shards are reclaimed by a process-level
+// deadline, and a shard that exhausts its restart budget degrades the
+// sweep instead of aborting it.
 type CoordinatorConfig struct {
 	// Shards is the number of grid slices (and subprocesses). Must be
 	// positive.
@@ -27,33 +27,36 @@ type CoordinatorConfig struct {
 	// means a shard gets exactly one attempt.
 	MaxRestarts int
 	// Deadline is the process-level straggler policy: a shard whose
-	// journal stops growing across Probes consecutive Interval-long
-	// real-time windows is presumed wedged beyond what its in-process
-	// watchdog can reclaim (hung runtime, stopped process) and is
-	// SIGKILLed, then restarted under the normal restart budget. The
-	// zero value disables deadline kills. Journal growth is the
+	// count of stored cells stops growing across Probes consecutive
+	// Interval-long real-time windows is presumed wedged beyond what its
+	// in-process watchdog can reclaim (hung runtime, stopped process)
+	// and is SIGKILLed, then restarted under the normal restart budget.
+	// The zero value disables deadline kills. Store growth is the
 	// process-level analog of the cell watchdog's virtual-clock probes:
 	// the probe cadence is operator real time, but the verdict depends
 	// only on whether durable progress happened.
 	Deadline WatchdogPolicy
-	// Dir is where the shard journals live (created if missing). Each
-	// shard i of N journals to Dir/shard-i-of-N.jsonl.
-	Dir string
+	// Repo is the writable store every shard writes into — the sweep's
+	// only output, which the deadline probes and callers merge.
+	Repo *repo.Repository
+	// Fingerprint and Cells identify the grid (Fingerprint and
+	// EnumerateCellRefs of it), so the deadline probe knows which cell
+	// files each shard owns.
+	Fingerprint string
+	Cells       []CellRef
 	// Command builds the subprocess for one shard: typically the
-	// running binary re-invoked with -shard i/N and -journal path. The
+	// running binary re-invoked with -shard i/N and the same -repo. The
 	// coordinator starts, kills, and restarts what this returns; each
 	// call must return a fresh unstarted Cmd. Restarted shards resume
-	// from their journal, so the command must be idempotent under
+	// from the store, so the command must be idempotent under
 	// re-execution.
-	Command func(shard ShardSpec, journalPath string) *exec.Cmd
+	Command func(shard ShardSpec) *exec.Cmd
 }
 
 // ShardStatus is the coordinator's account of one shard.
 type ShardStatus struct {
 	// Shard is the slice this status describes.
 	Shard ShardSpec
-	// Journal is the shard's journal path.
-	Journal string
 	// Launches counts subprocess launches, including restarts.
 	Launches int
 	// DeadlineKills counts launches the straggler deadline reclaimed.
@@ -69,13 +72,10 @@ type ShardStatus struct {
 type CoordinatorResult struct {
 	// Shards holds one status per shard, indexed by shard number.
 	Shards []ShardStatus
-	// JournalPaths lists every shard journal in shard order, the input
-	// set for MergeJournals.
-	JournalPaths []string
 }
 
 // Failed returns the shard specs that never completed. An empty result
-// means the whole grid is covered by the journals.
+// means the whole grid is in the store.
 func (r *CoordinatorResult) Failed() []ShardSpec {
 	var failed []ShardSpec
 	for _, s := range r.Shards {
@@ -86,17 +86,12 @@ func (r *CoordinatorResult) Failed() []ShardSpec {
 	return failed
 }
 
-// ShardJournalPath names shard i-of-n's journal inside dir.
-func ShardJournalPath(dir string, shard ShardSpec) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.jsonl", shard.Index, shard.Count))
-}
-
 // RunCoordinator executes a sharded sweep across subprocesses. It
 // returns once every shard has either completed or exhausted its
 // restart budget; per-shard failure is reported in the result, not as
 // an error — a dead shard costs its cells (reported as shard failures
 // downstream), never the sweep. The error return covers coordinator-
-// level failures only (unusable configuration or journal directory).
+// level failures only (unusable configuration or store).
 func RunCoordinator(cfg CoordinatorConfig) (*CoordinatorResult, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("bench: coordinator needs a positive shard count, got %d", cfg.Shards)
@@ -107,16 +102,14 @@ func RunCoordinator(cfg CoordinatorConfig) (*CoordinatorResult, error) {
 	if cfg.MaxRestarts < 0 {
 		return nil, fmt.Errorf("bench: coordinator restart budget %d must not be negative", cfg.MaxRestarts)
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("bench: creating shard journal directory: %w", err)
+	if cfg.Repo == nil || cfg.Repo.ReadOnly() {
+		return nil, fmt.Errorf("bench: coordinator needs a writable store: it is the shards' only output")
 	}
 
 	res := &CoordinatorResult{Shards: make([]ShardStatus, cfg.Shards)}
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Shards; i++ {
-		shard := ShardSpec{Index: i, Count: cfg.Shards}
-		res.Shards[i] = ShardStatus{Shard: shard, Journal: ShardJournalPath(cfg.Dir, shard)}
-		res.JournalPaths = append(res.JournalPaths, res.Shards[i].Journal)
+		res.Shards[i] = ShardStatus{Shard: ShardSpec{Index: i, Count: cfg.Shards}}
 		wg.Add(1)
 		go func(st *ShardStatus) {
 			defer wg.Done()
@@ -128,9 +121,9 @@ func RunCoordinator(cfg CoordinatorConfig) (*CoordinatorResult, error) {
 }
 
 // runShardProcess babysits one shard: launch, watch, restart. Each
-// launch resumes from the shard's journal, so the cells lost to a kill
-// are only those in flight at the instant of death — the same contract
-// the single-process journal has, lifted to process granularity.
+// launch resumes from the store, so the cells lost to a kill are only
+// those in flight at the instant of death — the same contract a
+// single-process warm replay has, lifted to process granularity.
 func runShardProcess(cfg CoordinatorConfig, st *ShardStatus) {
 	for attempt := 0; attempt <= cfg.MaxRestarts; attempt++ {
 		st.Launches++
@@ -151,7 +144,7 @@ func runShardProcess(cfg CoordinatorConfig, st *ShardStatus) {
 // SIGKILLing it if the straggler deadline fires. killed reports a
 // deadline kill (as opposed to the process dying on its own).
 func launchAndWatch(cfg CoordinatorConfig, st *ShardStatus) (killed bool, err error) {
-	cmd := cfg.Command(st.Shard, st.Journal)
+	cmd := cfg.Command(st.Shard)
 	if cmd == nil {
 		return false, fmt.Errorf("bench: shard %s: command builder returned nil", st.Shard)
 	}
@@ -161,23 +154,27 @@ func launchAndWatch(cfg CoordinatorConfig, st *ShardStatus) (killed bool, err er
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 
-	if !cfg.Deadline.Enabled() {
-		if werr := <-done; werr != nil {
-			return false, fmt.Errorf("bench: shard %s: subprocess failed: %w", st.Shard, werr)
-		}
-		return false, nil
-	}
-
-	// The process-level deadline probes the shard's journal size: a
-	// shard making progress checkpoints cells, and each checkpoint grows
-	// the journal. The in-process watchdog already reclaims hung *cells*;
-	// this deadline reclaims hung *processes* — a wedged runtime, a
-	// livelocked pool — that the in-process machinery can no longer save.
-	//greenlint:allow wallclock coordinator process-deadline probe timer is operator-facing real time; kill/restart/resume is byte-identity-safe, so the verdict never reaches a measured quantity
-	ticker := time.NewTicker(cfg.Deadline.Interval)
-	defer ticker.Stop()
+	// The process-level deadline probes the shard's stored cells: a
+	// shard making progress stores cells, and each one is a new file at
+	// a path the shard owns. The in-process watchdog already reclaims
+	// hung *cells*; this deadline reclaims hung *processes* — a wedged
+	// runtime, a livelocked pool — that the in-process machinery can no
+	// longer save. Without a deadline the probe channel stays nil.
+	var probe <-chan time.Time
+	var owned []string
 	stall := vclock.NewStallCounter(cfg.Deadline.Probes)
-	stall.Observe(journalSize(st.Journal))
+	if cfg.Deadline.Enabled() {
+		for _, ref := range cfg.Cells {
+			if st.Shard.Owns(cfg.Fingerprint, ref.ID()) {
+				owned = append(owned, cfg.Repo.CellPath(cfg.Fingerprint, ref.ID()))
+			}
+		}
+		//greenlint:allow wallclock coordinator process-deadline probe timer over store growth is operator-facing real time; kill/restart/resume is byte-identity-safe, so the verdict never reaches a measured quantity
+		ticker := time.NewTicker(cfg.Deadline.Interval)
+		defer ticker.Stop()
+		probe = ticker.C
+		stall.Observe(storedCells(owned))
+	}
 	for {
 		select {
 		case werr := <-done:
@@ -185,26 +182,28 @@ func launchAndWatch(cfg CoordinatorConfig, st *ShardStatus) (killed bool, err er
 				return false, fmt.Errorf("bench: shard %s: subprocess failed: %w", st.Shard, werr)
 			}
 			return false, nil
-		case <-ticker.C:
-			if !stall.Observe(journalSize(st.Journal)) {
+		case <-probe:
+			if !stall.Observe(storedCells(owned)) {
 				continue
 			}
 			// No durable progress across the deadline window: reclaim the
 			// process. SIGKILL, not SIGTERM — a wedged process may not
-			// service signals, and the journal makes abrupt death safe.
+			// service signals, and the store makes abrupt death safe.
 			cmd.Process.Kill()
 			<-done
-			return true, fmt.Errorf("bench: shard %s: no journal progress across %d probes — straggler killed", st.Shard, cfg.Deadline.Probes)
+			return true, fmt.Errorf("bench: shard %s: no store progress across %d probes — straggler killed", st.Shard, cfg.Deadline.Probes)
 		}
 	}
 }
 
-// journalSize probes a shard journal's size; a missing file (the shard
-// has not created it yet) probes as zero.
-func journalSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
+// storedCells counts the cell files present among paths: one stat per
+// cell, no decode. Atomic writes make a present file a complete cell.
+func storedCells(paths []string) int64 {
+	var n int64
+	for _, p := range paths {
+		if _, err := os.Stat(p); err == nil {
+			n++
+		}
 	}
-	return fi.Size()
+	return n
 }

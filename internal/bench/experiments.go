@@ -23,42 +23,22 @@ import (
 type Fig3Result struct {
 	Records []Record
 	Stats   []CellStats
-	// JournalDamaged counts CRC-skipped checkpoint lines encountered
-	// while resuming from a journal (the affected cells were rerun).
-	// Zero for journal-less runs. It is surfaced in the run summary,
-	// never silently swallowed.
-	JournalDamaged int
-	// Repo reports the evaluation-repository traffic of the run; the
-	// zero value means no repository was configured.
+	// Repo reports the evaluation-repository traffic of the run that
+	// produced Records; the zero value means no repository was
+	// consulted.
 	Repo RepoStats
 }
 
 // Fig3 runs the paper's main grid: every system × budget × dataset × seed
 // on the CPU testbed with one core.
 func Fig3(cfg Config) Fig3Result {
-	res, _ := Fig3Resumable(cfg, "")
-	return res
+	return Fig3FromRecords(cfg, RunGrid(DefaultSystems(), cfg))
 }
 
-// Fig3Resumable is Fig3 with an optional JSONL run journal: with a
-// non-empty path, completed cells checkpoint as they finish and an
-// interrupted run picks up where it was killed.
-func Fig3Resumable(cfg Config, journalPath string) (Fig3Result, error) {
-	cfg = cfg.normalized()
-	run, err := RunShard(DefaultSystems(), cfg, journalPath)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	res := Fig3FromRecords(cfg, run.Records)
-	res.JournalDamaged = run.Damaged
-	res.Repo = run.Repo
-	return res, nil
-}
-
-// Fig3FromRecords aggregates already-obtained grid records — merged
-// shard journals, a replayed export — exactly as Fig3Resumable would
-// aggregate a live run: same bootstrap RNG stream, same stats, and
-// therefore byte-identical rendered reports and SVG exports.
+// Fig3FromRecords aggregates already-obtained grid records — a live
+// run, a warm replay, a merge of stores — into the fig3 result: the
+// same bootstrap RNG stream and stats for all of them, and therefore
+// byte-identical rendered reports and SVG exports.
 func Fig3FromRecords(cfg Config, records []Record) Fig3Result {
 	cfg = cfg.normalized()
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xf163))

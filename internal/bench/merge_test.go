@@ -2,15 +2,16 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
+	"errors"
 	"math/rand/v2"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/repo"
 )
 
 // mergeCfg is the merge tests' grid: the chaos grid without hang
@@ -23,27 +24,33 @@ func mergeCfg() Config {
 	return cfg
 }
 
-// runShardJournals executes every shard of an n-way split in the given
-// completion order and returns the journal paths in that order.
-func runShardJournals(t *testing.T, dir string, cfg Config, n int, order []int, workers int) []string {
+// runShards executes the listed shards of an n-way split, in the given
+// completion order, all writing into the shared store rp.
+func runShards(t *testing.T, rp *repo.Repository, cfg Config, n int, order []int, workers int) {
 	t.Helper()
-	var paths []string
 	for _, i := range order {
-		scfg := withWorkers(cfg, workers)
+		scfg := withStore(withWorkers(cfg, workers), rp)
 		scfg.Shard = ShardSpec{Index: i, Count: n}
-		path := filepath.Join(dir, fmt.Sprintf("s%d-of-%d.jsonl", i, n))
-		if _, err := RunShard(chaosSystems(), scfg, path); err != nil {
+		if _, err := RunShard(chaosSystems(), scfg, ""); err != nil {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
-		paths = append(paths, path)
 	}
-	return paths
+}
+
+// reopen opens another handle on rp's directory with the given options.
+func reopen(t *testing.T, rp *repo.Repository, opts repo.Options) *repo.Repository {
+	t.Helper()
+	h, err := repo.Open(rp.Dir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // TestMergeDeterminismProperty fuzzes the merge invariant: for random
-// shard counts, worker counts, shard completion orders, and journal
-// argument orders, the merged records and exports must equal the
-// unsharded single-worker oracle byte for byte.
+// shard counts, worker counts and shard completion orders, the merge of
+// the store the shards shared must equal the unsharded single-worker
+// oracle byte for byte.
 func TestMergeDeterminismProperty(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
@@ -61,10 +68,10 @@ func TestMergeDeterminismProperty(t *testing.T) {
 		n := 1 + rng.IntN(5)
 		workers := 1 + rng.IntN(4)
 		order := rng.Perm(n)
-		paths := runShardJournals(t, t.TempDir(), cfg, n, order, workers)
-		rng.Shuffle(len(paths), func(i, j int) { paths[i], paths[j] = paths[j], paths[i] })
+		rp := openTestRepo(t, repo.Options{})
+		runShards(t, rp, cfg, n, order, workers)
 
-		res, err := MergeJournals(paths, fingerprint, refs)
+		res, err := MergeStores([]*repo.Repository{rp}, fingerprint, refs)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d workers=%d order=%v): %v", trial, n, workers, order, err)
 		}
@@ -81,9 +88,10 @@ func TestMergeDeterminismProperty(t *testing.T) {
 	}
 }
 
-// TestMergeToleratesOverlapAcrossShardCounts: journals from a 2-way and
-// a 4-way split of the same grid overlap heavily; the merge must accept
-// the agreement and still reproduce the oracle.
+// TestMergeToleratesOverlapAcrossShardCounts: stores filled by a 2-way
+// and a 4-way split of the same grid overlap completely; the union must
+// accept the agreement, in either argument order, and still reproduce
+// the oracle.
 func TestMergeToleratesOverlapAcrossShardCounts(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
@@ -91,92 +99,89 @@ func TestMergeToleratesOverlapAcrossShardCounts(t *testing.T) {
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
 
-	dir := t.TempDir()
-	paths := runShardJournals(t, dir, cfg, 2, []int{0, 1}, 1)
-	paths = append(paths, runShardJournals(t, dir, cfg, 4, []int{3, 1, 0, 2}, 2)...)
+	two := openTestRepo(t, repo.Options{})
+	runShards(t, two, cfg, 2, []int{0, 1}, 1)
+	four := openTestRepo(t, repo.Options{})
+	runShards(t, four, cfg, 4, []int{3, 1, 0, 2}, 2)
 
-	res, err := MergeJournals(paths, fingerprint, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Records, want) {
-		t.Error("overlapping merge differs from oracle")
-	}
-	if len(res.PerJournal) != 6 {
-		t.Errorf("PerJournal reports %d journals, want 6", len(res.PerJournal))
+	for _, stores := range [][]*repo.Repository{{two, four}, {four, two}} {
+		res, err := MergeStores(stores, fingerprint, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Records, want) {
+			t.Error("overlapping merge differs from oracle")
+		}
+		if len(res.PerStore) != 2 || res.PerStore[0].Cells != len(refs) || res.PerStore[1].Cells != len(refs) {
+			t.Errorf("PerStore %+v, want two stores each covering all %d cells", res.PerStore, len(refs))
+		}
 	}
 }
 
-// TestMergeRejectsConflictingRecords: two journals disagreeing about
-// the same cell is a determinism violation and must refuse to merge,
-// never silently pick a side.
+// TestMergeRejectsConflictingRecords: two stores disagreeing about the
+// same cell is a determinism violation and must refuse to merge, never
+// silently pick a side.
 func TestMergeRejectsConflictingRecords(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
 
-	dir := t.TempDir()
-	paths := runShardJournals(t, dir, cfg, 1, []int{0}, 1)
+	honest := openTestRepo(t, repo.Options{})
+	runShards(t, honest, cfg, 1, []int{0}, 1)
 
-	// Rerun the same whole grid under a journal, then corrupt one record
-	// by rewriting a score — with a valid CRC, so only the merge's
+	// Forge one cell into a second store: the same key with a rewritten
+	// score, in a perfectly valid cell file, so only the merge's
 	// conflict detection can catch it.
-	forged := filepath.Join(dir, "forged.jsonl")
-	if _, err := RunShard(systems, withWorkers(cfg, 1), forged); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(forged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(string(data), "\n")
+	forged := openTestRepo(t, repo.Options{})
 	tampered := false
-	for i, line := range lines[1:] {
-		if strings.Contains(line, `"TestScore"`) {
-			rec, ok := decodeJournalLine(journalVersion, []byte(line))
-			if !ok {
-				continue
-			}
-			rec.TestScore += 0.125
-			j := &Journal{version: journalVersion}
-			reline, err := j.encodeJournalLine(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines[i+1] = strings.TrimSuffix(string(reline), "\n")
-			tampered = true
-			break
+	for _, ref := range refs {
+		e, _, err := honest.Get(fingerprint, ref.ID())
+		if err != nil {
+			t.Fatal(err)
 		}
+		var rec Record
+		if err := json.Unmarshal(e.Record, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Scored() {
+			continue
+		}
+		rec.TestScore += 0.125
+		if e.Record, err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := forged.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		tampered = true
+		break
 	}
 	if !tampered {
 		t.Fatal("no scored record found to tamper with")
 	}
-	if err := os.WriteFile(forged, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	_, err = MergeJournals(append(paths, forged), fingerprint, refs)
+	_, err := MergeStores([]*repo.Repository{honest, forged}, fingerprint, refs)
 	if err == nil || !strings.Contains(err.Error(), "disagree") {
-		t.Errorf("conflicting journals merged (err=%v)", err)
+		t.Errorf("conflicting stores merged (err=%v)", err)
 	}
 }
 
-// TestMergeRejectsForeignFingerprint: a journal from a different grid
-// configuration must refuse to merge.
+// TestMergeRejectsForeignFingerprint: a store holding only a different
+// grid configuration must refuse to merge.
 func TestMergeRejectsForeignFingerprint(t *testing.T) {
 	cfg := mergeCfg()
-	systems := chaosSystems()
-	refs := EnumerateCellRefs(systems, cfg)
-	paths := runShardJournals(t, t.TempDir(), cfg, 1, []int{0}, 1)
-	_, err := MergeJournals(paths, "feedfacefeedface", refs)
+	refs := EnumerateCellRefs(chaosSystems(), cfg)
+	rp := openTestRepo(t, repo.Options{})
+	runShards(t, rp, cfg, 1, []int{0}, 1)
+	_, err := MergeStores([]*repo.Repository{rp}, "feedfacefeedface", refs)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Errorf("foreign journal merged (err=%v)", err)
+		t.Errorf("foreign store merged (err=%v)", err)
 	}
 }
 
 // TestMergeReportsMissingCellsAsShardFailures: merging an incomplete
-// journal set keeps the grid full-size — the uncovered cells appear in
+// store keeps the grid full-size — the uncovered cells appear in
 // Missing and as shard-failure records in the taxonomy, exactly where a
 // dead shard's cells land.
 func TestMergeReportsMissingCellsAsShardFailures(t *testing.T) {
@@ -186,8 +191,9 @@ func TestMergeReportsMissingCellsAsShardFailures(t *testing.T) {
 	refs := EnumerateCellRefs(systems, cfg)
 
 	// Run only shard 0 of 2; shard 1's cells are missing.
-	paths := runShardJournals(t, t.TempDir(), cfg, 2, []int{0}, 1)
-	res, err := MergeJournals(paths, fingerprint, refs)
+	rp := openTestRepo(t, repo.Options{})
+	runShards(t, rp, cfg, 2, []int{0}, 1)
+	res, err := MergeStores([]*repo.Repository{rp}, fingerprint, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +238,9 @@ func TestMergeReportsMissingCellsAsShardFailures(t *testing.T) {
 	}
 }
 
-// TestMergeCountsDamage: CRC-damaged interior lines in a shard journal
-// surface in the merge result (per journal and in total), and the cells
-// stay covered when another journal holds them.
+// TestMergeCountsDamage: a damaged cell refuses the merge by default;
+// under AllowDamage it is counted (per store and in total) and stays
+// missing unless another store covers it.
 func TestMergeCountsDamage(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
@@ -242,54 +248,37 @@ func TestMergeCountsDamage(t *testing.T) {
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
 
-	dir := t.TempDir()
-	paths := runShardJournals(t, dir, cfg, 2, []int{0, 1}, 1)
+	sharded := openTestRepo(t, repo.Options{})
+	runShards(t, sharded, cfg, 2, []int{0, 1}, 1)
+	corruptOneCell(t, sharded.Dir())
 
-	// Flip a payload byte in the first record line of shard 0's journal:
-	// the CRC no longer matches, so the line reads as damaged.
-	data, err := os.ReadFile(paths[0])
+	if _, err := MergeStores([]*repo.Repository{sharded}, fingerprint, refs); !errors.Is(err, repo.ErrDamaged) {
+		t.Fatalf("merge over a damaged store returned %v, want repo.ErrDamaged", err)
+	}
+
+	tolerant := reopen(t, sharded, repo.Options{ReadOnly: true, AllowDamage: true})
+	res, err := MergeStores([]*repo.Repository{tolerant}, fingerprint, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 3 {
-		t.Fatalf("shard journal has %d lines, want header plus at least one record", len(lines))
-	}
-	record := lines[1]
-	record[bytes.IndexByte(record, '{')+1] ^= 0x20
-	if err := os.WriteFile(paths[0], bytes.Join(lines, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The damaged cell is now covered by no journal (shard journals do
-	// not overlap), so it must surface as missing and damaged.
-	res, err := MergeJournals(paths, fingerprint, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Damaged != 1 {
-		t.Errorf("Damaged = %d, want 1", res.Damaged)
-	}
-	if res.PerJournal[0].Damaged != 1 || res.PerJournal[1].Damaged != 0 {
-		t.Errorf("per-journal damage = %d/%d, want 1/0", res.PerJournal[0].Damaged, res.PerJournal[1].Damaged)
+	if res.Damaged != 1 || res.PerStore[0].Damaged != 1 {
+		t.Errorf("Damaged = %d (store: %d), want 1", res.Damaged, res.PerStore[0].Damaged)
 	}
 	if len(res.Missing) != 1 {
 		t.Errorf("Missing = %d cells, want exactly the damaged one", len(res.Missing))
 	}
 
-	// A whole-grid journal added to the mix re-covers the damaged cell:
-	// damage stays reported, but nothing is missing and the records match
-	// the oracle again.
-	full := filepath.Join(dir, "full.jsonl")
-	if _, err := RunShard(systems, withWorkers(cfg, 1), full); err != nil {
-		t.Fatal(err)
-	}
-	res, err = MergeJournals(append(paths, full), fingerprint, refs)
+	// A whole-grid store added to the mix re-covers the damaged cell:
+	// damage stays reported, but nothing is missing and the records
+	// match the oracle again.
+	full := openTestRepo(t, repo.Options{})
+	runShards(t, full, cfg, 1, []int{0}, 1)
+	res, err = MergeStores([]*repo.Repository{tolerant, full}, fingerprint, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Damaged != 1 {
-		t.Errorf("healed merge Damaged = %d, want 1 (damage stays visible)", res.Damaged)
+	if res.Damaged != 1 || res.PerStore[1].Damaged != 0 {
+		t.Errorf("healed merge Damaged = %d (per store %+v), want 1 in the first store (damage stays visible)", res.Damaged, res.PerStore)
 	}
 	if len(res.Missing) != 0 {
 		t.Errorf("healed merge still missing %d cells", len(res.Missing))
@@ -299,22 +288,23 @@ func TestMergeCountsDamage(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsEmptyAndAbsentJournals: empty input sets and
-// unreadable journals are configuration errors.
-func TestMergeRejectsEmptyAndAbsentJournals(t *testing.T) {
+// TestMergeRejectsEmptyAndAbsentStores: an empty input set, an empty
+// store and a store whose directory vanished are configuration errors.
+func TestMergeRejectsEmptyAndAbsentStores(t *testing.T) {
 	cfg := mergeCfg()
 	refs := EnumerateCellRefs(chaosSystems(), cfg)
-	if _, err := MergeJournals(nil, "x", refs); err == nil {
-		t.Error("empty journal set merged")
+	if _, err := MergeStores(nil, "x", refs); err == nil {
+		t.Error("empty store set merged")
 	}
-	if _, err := MergeJournals([]string{filepath.Join(t.TempDir(), "absent.jsonl")}, "x", refs); err == nil {
-		t.Error("absent journal merged")
+	empty := openTestRepo(t, repo.Options{})
+	if _, err := MergeStores([]*repo.Repository{empty}, "x", refs); err == nil || !strings.Contains(err.Error(), "empty") {
+		t.Errorf("empty store merged (err=%v)", err)
 	}
-	empty := filepath.Join(t.TempDir(), "empty.jsonl")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+	absent := openTestRepo(t, repo.Options{})
+	if err := os.RemoveAll(absent.Dir()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeJournals([]string{empty}, "x", refs); err == nil {
-		t.Error("zero-byte journal merged")
+	if _, err := MergeStores([]*repo.Repository{absent}, "x", refs); err == nil {
+		t.Error("absent store merged")
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -88,11 +87,10 @@ func TestRepoWarmRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRepoWarmShardMergeByteIdentical runs the warm grid as journaled
-// shards — 1-shard and 2-shard partitions — and requires the merged
-// journals to reproduce the cold run's exports byte for byte, still
-// with zero fits: repository hits flow through shard journals into the
-// merge unchanged.
+// TestRepoWarmShardMergeByteIdentical runs the warm grid as shards —
+// 1-shard and 2-shard partitions — against the cold store and requires
+// the merge of that store to reproduce the cold run's exports byte for
+// byte, with zero fits: every shard replays its cells as pure hits.
 func TestRepoWarmShardMergeByteIdentical(t *testing.T) {
 	rp := openTestRepo(t, repo.Options{})
 	cfg := tinyConfig()
@@ -109,25 +107,21 @@ func TestRepoWarmShardMergeByteIdentical(t *testing.T) {
 
 	for _, shards := range []int{1, 2} {
 		ResetFitProbe()
-		var paths []string
-		dir := t.TempDir()
 		for idx := 0; idx < shards; idx++ {
 			scfg := cfg
 			scfg.Shard = ShardSpec{Index: idx, Count: shards}
-			path := filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.jsonl", idx, shards))
-			run, err := RunShard(systems, scfg, path)
+			run, err := RunShard(systems, scfg, "")
 			if err != nil {
 				t.Fatalf("shards=%d idx=%d: %v", shards, idx, err)
 			}
 			if run.Repo.Hits != len(run.Records) {
 				t.Errorf("shards=%d idx=%d: %d hits for %d records", shards, idx, run.Repo.Hits, len(run.Records))
 			}
-			paths = append(paths, path)
 		}
 		if n := FitProbeCount(); n != 0 {
 			t.Errorf("shards=%d: warm shard runs performed %d fit(s), want 0", shards, n)
 		}
-		merged, err := MergeJournals(paths, fingerprint, refs)
+		merged, err := MergeStores([]*repo.Repository{rp}, fingerprint, refs)
 		if err != nil {
 			t.Fatalf("shards=%d: merge: %v", shards, err)
 		}
@@ -220,10 +214,10 @@ func TestRepoDamagePolicy(t *testing.T) {
 	}
 }
 
-// TestRepoMergeFusesMissingShard loses one shard's journal entirely and
-// lets MergeJournalsRepo fill the hole from the repository: the merge
-// reports repository hits instead of missing cells, and its records
-// match the cold run exactly.
+// TestRepoMergeFusesMissingShard: one host ran only shard 0 of 2 into
+// its own store, so merging that store alone leaves shard 1's cells
+// missing; adding a second store that holds the whole grid fills the
+// hole, and the union's records match the cold run exactly.
 func TestRepoMergeFusesMissingShard(t *testing.T) {
 	rp := openTestRepo(t, repo.Options{})
 	cfg := tinyConfig()
@@ -237,32 +231,31 @@ func TestRepoMergeFusesMissingShard(t *testing.T) {
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
 
-	// Run only shard 0 of 2 with a journal; shard 1's journal never exists.
+	half := openTestRepo(t, repo.Options{})
 	scfg := cfg
+	scfg.Repo = half
 	scfg.Shard = ShardSpec{Index: 0, Count: 2}
-	path := filepath.Join(t.TempDir(), "shard0.jsonl")
-	if _, err := RunShard(systems, scfg, path); err != nil {
+	if _, err := RunShard(systems, scfg, ""); err != nil {
 		t.Fatal(err)
 	}
 
-	// Without the store the merge degrades the lost shard's cells.
-	plain, err := MergeJournals([]string{path}, fingerprint, refs)
+	plain, err := MergeStores([]*repo.Repository{half}, fingerprint, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.Missing) == 0 {
-		t.Fatal("both shards covered by one journal; shard split produced no hole to fuse")
+		t.Fatal("shard 0 of 2 covered the whole grid; the split produced no hole to fuse")
 	}
 
-	fused, err := MergeJournalsRepo([]string{path}, fingerprint, refs, rp)
+	fused, err := MergeStores([]*repo.Repository{half, rp}, fingerprint, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fused.Missing) != 0 {
-		t.Fatalf("merge with store still missing %d cells", len(fused.Missing))
+		t.Fatalf("merge with the full store still missing %d cells", len(fused.Missing))
 	}
-	if fused.RepoHits != len(plain.Missing) {
-		t.Errorf("repo hits %d, want %d (one per journal hole)", fused.RepoHits, len(plain.Missing))
+	if got, want := fused.PerStore[0].Cells, len(refs)-len(plain.Missing); got != want {
+		t.Errorf("half store supplied %d cells, want %d", got, want)
 	}
 	coldCSV, coldJSON := exportBytes(t, cold)
 	csv, jsn := exportBytes(t, fused.Records)

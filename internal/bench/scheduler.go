@@ -17,7 +17,7 @@ import (
 // the benchmark grid, carrying everything a worker needs to execute it:
 // the shared, read-only train/test split (materialized once per
 // (dataset, seed) during enumeration), the cell's identity-derived seed,
-// and — when resuming — the journaled record that makes execution
+// and — on a warm replay — the stored record that makes execution
 // unnecessary.
 type gridCell struct {
 	sys      automl.System
@@ -30,14 +30,10 @@ type gridCell struct {
 	// cell yields a failure record instead of silently shrinking the
 	// grid.
 	dsErr error
-	// cached is the already-completed record of the cell — from the
-	// journal, or (fromRepo) decoded out of the evaluation repository.
+	// cached is the already-completed record of the cell, decoded out
+	// of the evaluation repository.
 	cached *Record
-	// fromRepo marks a cached record that came from the repository
-	// rather than the journal; such cells still append to the journal,
-	// so shard journals stay complete and merges never see holes.
-	fromRepo bool
-	// id is the cell's journal/repository key.
+	// id is the cell's repository key.
 	id string
 }
 
@@ -60,13 +56,12 @@ type gridCell struct {
 // decisions about) generating it; the injector's dataset-fault draws
 // are site-keyed, so skipping them cannot perturb any other decision.
 //
-// With cfg.Repo set, every cell the journal does not already cover
-// consults the repository: a verified entry replays its record exactly
-// as a journal checkpoint would (the cell never executes), a miss runs
-// live, and damage follows the repository's policy — counted under
+// With cfg.Repo set, every cell consults the repository: a verified
+// entry replays its record (the cell never executes), a miss runs live,
+// and damage follows the repository's policy — counted under
 // AllowDamage, otherwise aborting enumeration. The returned RepoStats
 // reports that traffic (Stored is filled in later by the runners).
-func enumerateGrid(systems []automl.System, cfg Config, inj *faults.Injector, journal *Journal, fingerprint string) ([]gridCell, RepoStats, error) {
+func enumerateGrid(systems []automl.System, cfg Config, inj *faults.Injector, fingerprint string) ([]gridCell, RepoStats, error) {
 	var stats RepoStats
 	owns := func(string) bool { return true }
 	if cfg.Shard.Enabled() {
@@ -109,13 +104,7 @@ func enumerateGrid(systems []automl.System, cfg Config, inj *faults.Injector, jo
 						dsErr:    dsErr,
 						id:       id,
 					}
-					if journal != nil {
-						if rec, ok := journal.Lookup(id); ok {
-							rec := rec
-							cell.cached = &rec
-						}
-					}
-					if cell.cached == nil && cfg.Repo != nil {
+					if cfg.Repo != nil {
 						rec, hit, damaged, err := repoLookup(cfg.Repo, fingerprint, id)
 						if err != nil {
 							return nil, stats, err
@@ -127,7 +116,6 @@ func enumerateGrid(systems []automl.System, cfg Config, inj *faults.Injector, jo
 						case hit:
 							stats.Hits++
 							cell.cached = &rec
-							cell.fromRepo = true
 						default:
 							stats.Misses++
 						}
@@ -224,51 +212,34 @@ func runCellTask(c gridCell, cfg Config, inj *faults.Injector) (Record, *cellPay
 }
 
 // runGridSerial executes the cells one by one in grid order — the
-// historical execution mode, kept as the Workers == 1 path. A journal
+// historical execution mode, kept as the Workers == 1 path. A store
 // failure returns the records completed so far alongside the error.
-// Repository hits replay without executing but still checkpoint to the
-// journal (a shard journal must cover every owned cell for merges);
-// journal hits never re-append and never consult the repository.
-func runGridSerial(cells []gridCell, cfg Config, inj *faults.Injector, journal *Journal, fingerprint string) ([]Record, int, error) {
-	stored := 0
+func runGridSerial(cells []gridCell, cfg Config, inj *faults.Injector, st *cellStore) ([]Record, error) {
 	records := make([]Record, 0, len(cells))
 	for _, c := range cells {
 		if c.cached != nil {
-			if c.fromRepo && journal != nil {
-				if err := journal.Append(*c.cached); err != nil {
-					return records, stored, err
-				}
-			}
 			records = append(records, *c.cached)
 			continue
 		}
 		rec, payload := runCellTask(c, cfg, inj)
-		if journal != nil {
-			if err := journal.Append(rec); err != nil {
-				return records, stored, err
-			}
-		}
-		ok, err := storeCell(cfg.Repo, fingerprint, c.id, rec, payload)
-		if err != nil {
-			return records, stored, err
-		}
-		if ok {
-			stored++
+		if err := st.put(c.id, rec, payload); err != nil {
+			return records, err
 		}
 		records = append(records, rec)
 	}
-	return records, stored, nil
+	return records, nil
 }
 
 // runGridParallel executes the cells on a bounded worker pool. Each cell
 // is independent — its RNG streams derive from cell identity, its meters
 // are private, the shared datasets are read-only and the fault injector
-// is pure — so workers need no coordination beyond the journal mutex.
-// Results land in a slice indexed by enumeration order, which makes the
-// returned records (and therefore every export and figure) byte-identical
-// to a serial run at any worker count; only the journal's on-disk line
-// order varies, and resume replays it by cell identity, not position.
-func runGridParallel(cells []gridCell, cfg Config, inj *faults.Injector, journal *Journal, fingerprint string) ([]Record, int, error) {
+// is pure — so workers need no coordination: each writes its own cell
+// file. Results land in a slice indexed by enumeration order, which
+// makes the returned records (and therefore every export and figure)
+// byte-identical to a serial run at any worker count; only the order
+// in which cells reach the store varies, and replay looks cells up by
+// identity, not by write order.
+func runGridParallel(cells []gridCell, cfg Config, inj *faults.Injector, st *cellStore) ([]Record, error) {
 	records := make([]Record, len(cells))
 	work := make(chan int)
 	var (
@@ -276,7 +247,6 @@ func runGridParallel(cells []gridCell, cfg Config, inj *faults.Injector, journal
 		failed   atomic.Bool
 		errOnce  sync.Once
 		firstErr error
-		stored   atomic.Int64
 	)
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
@@ -296,19 +266,9 @@ func runGridParallel(cells []gridCell, cfg Config, inj *faults.Injector, journal
 					continue // drain remaining work after a failure
 				}
 				rec, payload := runCellTask(cells[ci], cfg, inj)
-				if journal != nil {
-					if err := journal.Append(rec); err != nil {
-						fail(err)
-						continue
-					}
-				}
-				ok, err := storeCell(cfg.Repo, fingerprint, cells[ci].id, rec, payload)
-				if err != nil {
+				if err := st.put(cells[ci].id, rec, payload); err != nil {
 					fail(err)
 					continue
-				}
-				if ok {
-					stored.Add(1)
 				}
 				records[ci] = rec
 			}
@@ -316,12 +276,6 @@ func runGridParallel(cells []gridCell, cfg Config, inj *faults.Injector, journal
 	}
 	for ci := range cells {
 		if c := cells[ci]; c.cached != nil {
-			if c.fromRepo && journal != nil {
-				if err := journal.Append(*c.cached); err != nil {
-					fail(err)
-					break
-				}
-			}
 			records[ci] = *c.cached
 			continue
 		}
@@ -330,7 +284,7 @@ func runGridParallel(cells []gridCell, cfg Config, inj *faults.Injector, journal
 	close(work)
 	wg.Wait()
 	if firstErr != nil {
-		return nil, int(stored.Load()), firstErr
+		return nil, firstErr
 	}
-	return records, int(stored.Load()), nil
+	return records, nil
 }

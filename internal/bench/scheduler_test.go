@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/openml"
+	"repro/internal/repo"
 )
 
 // withWorkers returns cfg pinned to a worker count.
@@ -65,60 +64,51 @@ func TestParallelGridIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelResumeAfterKill kills a parallel run mid-grid (the journal
-// is cut to a few intact records plus a torn line) and resumes it with a
-// different worker count. The resumed records must match an
-// uninterrupted serial run exactly: the journal's out-of-order appends
-// replay by cell identity, not by line position.
+// TestParallelResumeAfterKill kills a serial run mid-grid (the store is
+// cut to a few intact cells plus a torn temp file) and resumes it with
+// a parallel worker pool. The resumed records must match the
+// uninterrupted serial run exactly: replay looks cells up by identity,
+// whatever order they reached the store in.
 func TestParallelResumeAfterKill(t *testing.T) {
-	cfg := faultCfg(0.3, 4)
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	want, err := RunGridResumable(DefaultSystems(), withWorkers(cfg, 1), path)
+	rp := openTestRepo(t, repo.Options{})
+	cfg := withStore(faultCfg(0.3, 4), rp)
+	want, _, err := runGrid(DefaultSystems(), withWorkers(cfg, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	missing := cutStore(t, rp, Fingerprint(DefaultSystems(), cfg), 4)
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) < 6 {
-		t.Fatalf("journal has only %d lines", len(lines))
-	}
-	torn := strings.Join(lines[:5], "") + lines[5][:len(lines[5])/2]
-	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := RunGridResumable(DefaultSystems(), withWorkers(cfg, 4), path)
+	got, stats, err := runGrid(DefaultSystems(), withWorkers(cfg, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("parallel resume differs from the uninterrupted serial run")
 	}
+	if stats.Misses != missing {
+		t.Errorf("parallel resume executed %d cells, want the %d missing ones", stats.Misses, missing)
+	}
 
-	// The journal now checkpoints every cell; a fresh resume at yet
-	// another worker count replays it without executing anything.
-	again, err := RunGridResumable(DefaultSystems(), withWorkers(cfg, 3), path)
+	// The store now holds every cell; a fresh resume at yet another
+	// worker count replays it without executing anything.
+	again, stats, err := runGrid(DefaultSystems(), withWorkers(cfg, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, want) {
-		t.Error("fully-journaled parallel rerun differs from the original records")
+	if !reflect.DeepEqual(again, want) || stats.Misses != 0 {
+		t.Errorf("fully stored parallel rerun differs from the original records (stats %+v)", stats)
 	}
 }
 
 // TestWorkersNotInFingerprint pins the design decision that the worker
-// count is a throughput knob, not part of the grid's identity: a journal
-// written at one count must resume at any other.
+// count is a throughput knob, not part of the grid's identity: a store
+// filled at one count must resume at any other.
 func TestWorkersNotInFingerprint(t *testing.T) {
 	cfg := faultCfg(0.3, 4)
 	base := Fingerprint(DefaultSystems(), withWorkers(cfg, 1))
 	for _, n := range []int{2, 8, 0} {
 		if Fingerprint(DefaultSystems(), withWorkers(cfg, n)) != base {
-			t.Fatalf("workers=%d changed the journal fingerprint", n)
+			t.Fatalf("workers=%d changed the grid fingerprint", n)
 		}
 	}
 }
@@ -177,14 +167,14 @@ func TestGridParallelismInvariance(t *testing.T) {
 
 // TestParallelismNotInFingerprint pins the design decision that the
 // within-cell parallelism level, like Workers, is a throughput knob and
-// not part of the grid's identity: a journal written at one level must
+// not part of the grid's identity: a store filled at one level must
 // resume at any other.
 func TestParallelismNotInFingerprint(t *testing.T) {
 	cfg := faultCfg(0.3, 4)
 	base := Fingerprint(DefaultSystems(), withCellParallelism(cfg, 1))
 	for _, p := range []int{2, 8, 0} {
 		if Fingerprint(DefaultSystems(), withCellParallelism(cfg, p)) != base {
-			t.Fatalf("parallelism=%d changed the journal fingerprint", p)
+			t.Fatalf("parallelism=%d changed the grid fingerprint", p)
 		}
 	}
 }
@@ -226,29 +216,23 @@ func TestCellParallelismAuto(t *testing.T) {
 	}
 }
 
-// TestJournalAppendFailureDrainsWorkers kills the journal (every append
-// past the third fails, as a dying disk would) under a parallel run:
-// the run must surface the error, every worker goroutine must drain
-// rather than leak, and the checkpoints that landed before the failure
-// must still resume to the full grid.
-func TestJournalAppendFailureDrainsWorkers(t *testing.T) {
+// TestStoreWriteFailureDrainsWorkers kills the store (every write past
+// the third fails, as a dying disk would) under a parallel run: the run
+// must surface the error, every worker goroutine must drain rather than
+// leak, and the cells that landed before the failure must still resume
+// to the full grid.
+func TestStoreWriteFailureDrainsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	cfg := faultCfg(0.3, 4)
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	j, err := OpenJournal(path, Fingerprint(DefaultSystems(), cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.crash = func(point string, seq int, _ *os.File, _ []byte) error {
-		if point == crashAppendStart && seq >= 3 {
-			return errors.New("injected journal device failure")
+	cfg := withStore(faultCfg(0.3, 4), openTestRepo(t, repo.Options{}))
+	failing := func(point string, seq int, _ string) error {
+		if point == crashStoreStart && seq >= 3 {
+			return errors.New("injected store device failure")
 		}
 		return nil
 	}
-	_, _, err = runGrid(DefaultSystems(), withWorkers(cfg, 4), j)
-	j.Close()
-	if err == nil || !strings.Contains(err.Error(), "journal device failure") {
-		t.Fatalf("journal failure returned %v, want the injected device error", err)
+	_, _, err := runGrid(DefaultSystems(), withWorkers(cfg, 4), failing)
+	if err == nil || !strings.Contains(err.Error(), "store device failure") {
+		t.Fatalf("store failure returned %v, want the injected device error", err)
 	}
 
 	// The worker pool must have drained: give lingering goroutines a
@@ -263,17 +247,19 @@ func TestJournalAppendFailureDrainsWorkers(t *testing.T) {
 		}
 	}
 	if n := runtime.NumGoroutine(); !settled {
-		t.Fatalf("worker goroutines leaked after journal failure: %d before the run, %d after", before, n)
+		t.Fatalf("worker goroutines leaked after store failure: %d before the run, %d after", before, n)
 	}
 
-	// The partial journal holds the three checkpoints that beat the
-	// failure; resuming from it must reproduce the uninterrupted grid.
-	got, err := RunGridResumable(DefaultSystems(), withWorkers(cfg, 4), path)
+	// The store holds the three cells that beat the failure; resuming
+	// from it must reproduce the uninterrupted grid.
+	got, stats, err := runGrid(DefaultSystems(), withWorkers(cfg, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RunGrid(DefaultSystems(), cfg)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("resume from the partial journal differs from an uninterrupted run")
+	if stats.Hits != 3 {
+		t.Errorf("resume replayed %d cells, want the 3 stored before the failure", stats.Hits)
+	}
+	if !reflect.DeepEqual(got, RunGrid(DefaultSystems(), faultCfg(0.3, 4))) {
+		t.Error("resume from the partial store differs from an uninterrupted run")
 	}
 }

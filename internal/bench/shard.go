@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -18,11 +17,10 @@ import (
 // Shard assignment is fingerprint-keyed and cell-addressed: a cell
 // belongs to shard fnv64a(fingerprint|cellID) mod Count. The key never
 // depends on enumeration position, worker count, or which other cells
-// exist, so the assignment is stable across runs and a given journal
-// always describes the same set of cells. Every cell of the grid is
-// owned by exactly one shard of a given Count, and the union of shards
-// 0..Count-1 is the full grid — the invariant the merge machinery
-// (MergeJournals) leans on.
+// exist, so the assignment is stable across runs. Every cell of the
+// grid is owned by exactly one shard of a given Count, and the union of
+// shards 0..Count-1 is the full grid, which is why shards of any count
+// can write into one shared store and MergeStores finds no holes.
 type ShardSpec struct {
 	// Index identifies this shard, in [0, Count).
 	Index int
@@ -114,8 +112,8 @@ func (s ShardSpec) Owns(fingerprint, id string) bool {
 // CellRef is the identity of one grid cell — the fields cellID encodes.
 // EnumerateCellRefs yields them in canonical grid order without paying
 // for dataset generation, which is what lets the merge machinery
-// reassemble shard journals into the exact record order an unsharded
-// run produces.
+// reassemble stored cells into the exact record order an unsharded run
+// produces.
 type CellRef struct {
 	System  string
 	Dataset string
@@ -123,7 +121,7 @@ type CellRef struct {
 	Seed    uint64
 }
 
-// ID returns the cell's journal key.
+// ID returns the cell's repository key.
 func (c CellRef) ID() string { return cellID(c.System, c.Dataset, c.Budget, c.Seed) }
 
 // failureRecord synthesizes a failure record for a cell that never
@@ -169,50 +167,35 @@ func EnumerateCellRefs(systems []automl.System, cfg Config) []CellRef {
 	return refs
 }
 
-// ShardRun is the outcome of one sharded (or journaled) grid run.
+// ShardRun is the outcome of one sharded (or whole-grid) run.
 type ShardRun struct {
-	// Records holds the executed (or journal-replayed) cells in
-	// canonical grid order — for a sharded run, only the shard's cells.
+	// Records holds the executed (or store-replayed) cells in canonical
+	// grid order — for a sharded run, only the shard's cells.
 	Records []Record
-	// Damaged counts CRC-skipped journal checkpoint lines encountered
-	// while resuming; the affected cells were rerun, but the damage is
-	// surfaced rather than silent.
-	Damaged int
 	// Repo reports the run's evaluation-repository traffic; the zero
 	// value means no repository was configured.
 	Repo RepoStats
 }
 
-// RunShard executes the cfg.Shard slice of the grid with a journal at
-// path, resuming from any partial journal there. The journal header is
-// bound to both the grid fingerprint and the shard spec, so a shard
-// journal can never be resumed against a different grid or a different
-// shard assignment. With cfg.Shard zero this is a whole-grid journaled
-// run; with path empty it degrades to plain RunGrid.
-func RunShard(systems []automl.System, cfg Config, path string) (ShardRun, error) {
+// RunShard executes the cfg.Shard slice of the grid (the whole grid
+// when cfg.Shard is zero). With cfg.Repo set, stored cells replay
+// without executing and executed cells are written back as they
+// finish, so a killed shard resumes by rerunning it against the same
+// store. The third parameter is all that is left of the retired run
+// journal: it stays so existing callers keep compiling, and a non-empty
+// value is an error that points to cfg.Repo.
+func RunShard(systems []automl.System, cfg Config, journal string) (ShardRun, error) {
+	if journal != "" {
+		return ShardRun{}, fmt.Errorf("bench: run journal %q is no longer supported: set Config.Repo to a store to make the run resumable", journal)
+	}
 	if err := validateShard(cfg); err != nil {
 		return ShardRun{}, err
 	}
-	if path == "" {
-		records, stats, err := runGrid(systems, cfg, nil)
-		if err != nil {
-			return ShardRun{}, err
-		}
-		return ShardRun{Records: records, Repo: stats}, nil
-	}
-	j, err := openJournal(path, Fingerprint(systems, cfg), cfg.Shard)
+	records, stats, err := runGrid(systems, cfg, nil)
 	if err != nil {
 		return ShardRun{}, err
 	}
-	defer j.Close()
-	if hook := chaosKillHookFromEnv(); hook != nil {
-		j.crash = hook
-	}
-	records, stats, err := runGrid(systems, cfg, j)
-	if err != nil {
-		return ShardRun{}, err
-	}
-	return ShardRun{Records: records, Damaged: j.Discarded(), Repo: stats}, nil
+	return ShardRun{Records: records, Repo: stats}, nil
 }
 
 func validateShard(cfg Config) error {
@@ -220,64 +203,4 @@ func validateShard(cfg Config) error {
 		return nil
 	}
 	return cfg.Shard.Validate()
-}
-
-// chaosKillEnv, when set, makes a sharded run SIGKILL its own process
-// at a deterministic journal crash point — the chaos harness's way of
-// killing whole shard subprocesses the way a real OOM killer or node
-// failure would, with no deferred cleanup and no flushing. The value is
-// "<point>@<seq>" where point is one of start, written, torn, synced
-// (torn additionally tears the fatal line in half first, the on-disk
-// state a kill mid-write leaves). Test machinery only; unset means off.
-const chaosKillEnv = "GREENBENCH_CHAOS_KILL"
-
-// chaosKillHookFromEnv builds the journal crash hook the chaos
-// environment variable requests, or nil.
-func chaosKillHookFromEnv() crashFn {
-	val := os.Getenv(chaosKillEnv)
-	if val == "" {
-		return nil
-	}
-	point, seqStr, ok := strings.Cut(val, "@")
-	if !ok {
-		return nil
-	}
-	seq, err := strconv.Atoi(seqStr)
-	if err != nil {
-		return nil
-	}
-	target, torn := "", false
-	switch point {
-	case "start":
-		target = crashAppendStart
-	case "written":
-		target = crashAppendWritten
-	case "synced":
-		target = crashAppendSynced
-	case "torn":
-		target, torn = crashAppendWritten, true
-	default:
-		return nil
-	}
-	return func(p string, s int, f *os.File, line []byte) error {
-		if p != target || s != seq {
-			return nil
-		}
-		if torn {
-			if fi, err := f.Stat(); err == nil {
-				f.Truncate(fi.Size() - int64(len(line)/2))
-			}
-		}
-		// SIGKILL ourselves: unlike os.Exit, nothing between the kill and
-		// process death runs — the exact failure mode the coordinator's
-		// restart machinery must absorb.
-		proc, err := os.FindProcess(os.Getpid())
-		if err != nil {
-			os.Exit(137)
-		}
-		proc.Kill()
-		// The signal is asynchronous; park until it lands so no further
-		// journal write can race past the "kill point".
-		select {}
-	}
 }

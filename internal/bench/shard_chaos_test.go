@@ -6,30 +6,66 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/repo"
 )
 
 // The shard chaos tests exercise real process death: shard subprocesses
-// are SIGKILLed — by themselves at deterministic journal crash points,
-// or by the coordinator's straggler deadline — and the merge of their
-// journals must still be byte-identical to an unsharded run. The
+// are SIGKILLed — by themselves at deterministic store crash points, or
+// by the coordinator's straggler deadline — and the merge of the store
+// they share must still be byte-identical to an unsharded run. The
 // subprocesses are this test binary re-executed into the helper entry
 // point below (the standard helper-process pattern), so they run the
 // exact library code under test with no extra build step.
 const (
 	shardHelperEnv        = "GREENBENCH_SHARD_HELPER" // "run" executes a shard, "hang" parks forever
 	shardHelperShardEnv   = "GREENBENCH_HELPER_SHARD"
-	shardHelperJournalEnv = "GREENBENCH_HELPER_JOURNAL"
+	shardHelperStoreEnv   = "GREENBENCH_HELPER_STORE"
 	shardHelperWorkersEnv = "GREENBENCH_HELPER_WORKERS"
 )
+
+// chaosKillEnv, when set, makes a helper shard SIGKILL its own process
+// at a deterministic store crash point — the chaos harness's way of
+// killing whole shard subprocesses the way a real OOM killer or node
+// failure would, with no deferred cleanup and no flushing. The value is
+// "<mode>@<seq>": the process dies at its seq-th (zero-based) store
+// write in one of the modes chaosKill describes; unset means off.
+const chaosKillEnv = "GREENBENCH_CHAOS_KILL"
+
+// chaosKillHookFromEnv builds the crash hook the chaos environment
+// variable requests, or nil.
+func chaosKillHookFromEnv() crashFn {
+	mode, seqStr, ok := strings.Cut(os.Getenv(chaosKillEnv), "@")
+	if !ok {
+		return nil
+	}
+	seq, err := strconv.Atoi(seqStr)
+	if err != nil {
+		return nil
+	}
+	hook, _ := chaosKill(mode, seq, func() error {
+		// SIGKILL ourselves: unlike os.Exit, nothing between the kill and
+		// process death runs — the exact failure mode the coordinator's
+		// restart machinery must absorb.
+		proc, err := os.FindProcess(os.Getpid())
+		if err != nil {
+			os.Exit(137)
+		}
+		proc.Kill()
+		// The signal is asynchronous; park until it lands so no further
+		// store write can race past the kill point.
+		select {}
+	})
+	return hook
+}
 
 // TestShardHelperProcess is not a test: it is the subprocess entry
 // point the chaos tests re-execute this binary into. It runs one shard
@@ -60,9 +96,14 @@ func TestShardHelperProcess(t *testing.T) {
 		}
 	}
 	workers, _ := strconv.Atoi(os.Getenv(shardHelperWorkersEnv))
-	cfg := withWorkers(mergeCfg(), workers)
+	rp, err := repo.Open(os.Getenv(shardHelperStoreEnv), repo.Options{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	cfg := withStore(withWorkers(mergeCfg(), workers), rp)
 	cfg.Shard = shard
-	if _, err := RunShard(chaosSystems(), cfg, os.Getenv(shardHelperJournalEnv)); err != nil {
+	if _, _, err := runGrid(chaosSystems(), cfg, chaosKillHookFromEnv()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -71,22 +112,48 @@ func TestShardHelperProcess(t *testing.T) {
 
 // helperEnv builds the helper subprocess environment, deliberately not
 // inheriting any chaos variable from the test's own environment.
-func helperEnv(mode string, shard ShardSpec, journal string, workers int, extra ...string) []string {
+func helperEnv(mode string, shard ShardSpec, store string, workers int, extra ...string) []string {
 	env := append(os.Environ(),
 		shardHelperEnv+"="+mode,
 		shardHelperShardEnv+"="+shard.String(),
-		shardHelperJournalEnv+"="+journal,
+		shardHelperStoreEnv+"="+store,
 		shardHelperWorkersEnv+"="+strconv.Itoa(workers),
 		chaosKillEnv+"=", // cleared unless extra re-sets it
 	)
 	return append(env, extra...)
 }
 
-// helperCommand re-executes this test binary into the helper entry point.
-func helperCommand(mode string, shard ShardSpec, journal string, workers int, extra ...string) *exec.Cmd {
+// helperCommand re-executes this test binary into the helper entry
+// point, running one shard into the store at dir.
+func helperCommand(mode string, shard ShardSpec, store string, workers int, extra ...string) *exec.Cmd {
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestShardHelperProcess$")
-	cmd.Env = helperEnv(mode, shard, journal, workers, extra...)
+	cmd.Env = helperEnv(mode, shard, store, workers, extra...)
 	return cmd
+}
+
+// coordinatorCfg is the coordinator configuration of the mergeCfg grid
+// over the store rp.
+func coordinatorCfg(rp *repo.Repository, shards, maxRestarts int, command func(ShardSpec) *exec.Cmd) CoordinatorConfig {
+	cfg := mergeCfg()
+	return CoordinatorConfig{
+		Shards:      shards,
+		MaxRestarts: maxRestarts,
+		Repo:        rp,
+		Fingerprint: Fingerprint(chaosSystems(), cfg),
+		Cells:       EnumerateCellRefs(chaosSystems(), cfg),
+		Command:     command,
+	}
+}
+
+// mergeStore merges the single store rp for the mergeCfg grid.
+func mergeStore(t *testing.T, rp *repo.Repository) *MergeResult {
+	t.Helper()
+	cfg := mergeCfg()
+	res, err := MergeStores([]*repo.Repository{rp}, Fingerprint(chaosSystems(), cfg), EnumerateCellRefs(chaosSystems(), cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // diedBySIGKILL reports whether a subprocess error is death by SIGKILL.
@@ -111,11 +178,11 @@ func ownedCells(fingerprint string, refs []CellRef, shard ShardSpec) int {
 }
 
 // TestShardSubprocessSIGKILLResumeByteIdentical kills real shard
-// subprocesses with SIGKILL at every journal crash point — including a
-// torn write — then reruns them to completion and merges: the result
-// must be byte-identical to the unsharded single-worker run. This is
-// the crash-chaos contract of chaos_test.go lifted from simulated
-// append failures to actual process death.
+// subprocesses with SIGKILL at every store crash point — including a
+// torn write — then reruns them to completion and merges the store
+// they share: the result must be byte-identical to the unsharded
+// single-worker run. This is the crash-chaos contract of chaos_test.go
+// lifted from simulated write failures to actual process death.
 func TestShardSubprocessSIGKILLResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -131,16 +198,13 @@ func TestShardSubprocessSIGKILLResumeByteIdentical(t *testing.T) {
 	const workers = 4
 	for _, point := range []string{"start", "torn", "written", "synced"} {
 		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			var paths []string
+			rp := openTestRepo(t, repo.Options{})
 			killed := 0
 			for i := 0; i < shards; i++ {
 				shard := ShardSpec{Index: i, Count: shards}
-				journal := filepath.Join(dir, fmt.Sprintf("s%d.jsonl", i))
-				paths = append(paths, journal)
 				owned := ownedCells(fingerprint, refs, shard)
 
-				cmd := helperCommand("run", shard, journal, workers, chaosKillEnv+"="+point+"@0")
+				cmd := helperCommand("run", shard, rp.Dir(), workers, chaosKillEnv+"="+point+"@0")
 				err := cmd.Run()
 				if owned == 0 {
 					if err != nil {
@@ -153,9 +217,9 @@ func TestShardSubprocessSIGKILLResumeByteIdentical(t *testing.T) {
 					killed++
 				}
 
-				// Restart without the kill: must resume from the partial
-				// journal and complete.
-				if out, err := helperCommand("run", shard, journal, workers).CombinedOutput(); err != nil {
+				// Restart without the kill: must resume from the cells the
+				// store holds and complete.
+				if out, err := helperCommand("run", shard, rp.Dir(), workers).CombinedOutput(); err != nil {
 					t.Fatalf("shard %s: resume after SIGKILL failed: %v\n%s", shard, err, out)
 				}
 			}
@@ -163,10 +227,7 @@ func TestShardSubprocessSIGKILLResumeByteIdentical(t *testing.T) {
 				t.Fatal("no subprocess was killed — the chaos hook never fired")
 			}
 
-			res, err := MergeJournals(paths, fingerprint, refs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mergeStore(t, rp)
 			if len(res.Missing) != 0 {
 				t.Fatalf("%d cells missing after resume", len(res.Missing))
 			}
@@ -200,11 +261,11 @@ func (c *launchCounter) next(shard int) int {
 	return c.launches[shard]
 }
 
-// TestCoordinatorKillRestartMergeMatrix is the tentpole's end-to-end
-// proof: at shard counts 1, 2 and 4, worker counts 1 and 4, every shard
-// subprocess is SIGKILLed on its first launch at a journal crash point;
+// TestCoordinatorKillRestartMergeMatrix is the end-to-end proof: at
+// shard counts 1, 2 and 4, worker counts 1 and 4, every shard
+// subprocess is SIGKILLed on its first launch at a store crash point;
 // the coordinator must restart each, the restarts must resume from the
-// partial journals, and the merged exports must be byte-identical to an
+// shared store, and the merged exports must be byte-identical to an
 // unsharded single-process run.
 func TestCoordinatorKillRestartMergeMatrix(t *testing.T) {
 	if testing.Short() {
@@ -222,22 +283,17 @@ func TestCoordinatorKillRestartMergeMatrix(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
 				counter := newLaunchCounter()
-				ccfg := CoordinatorConfig{
-					Shards:      shards,
-					MaxRestarts: 2,
-					Dir:         t.TempDir(),
-					Command: func(shard ShardSpec, journal string) *exec.Cmd {
-						var extra []string
-						if counter.next(shard.Index) == 1 {
-							// First launch dies at a crash point that varies by
-							// shard, covering the full kill surface across the
-							// matrix.
-							extra = []string{chaosKillEnv + "=" + points[shard.Index%len(points)] + "@0"}
-						}
-						return helperCommand("run", shard, journal, workers, extra...)
-					},
-				}
-				res, err := RunCoordinator(ccfg)
+				rp := openTestRepo(t, repo.Options{})
+				res, err := RunCoordinator(coordinatorCfg(rp, shards, 2, func(shard ShardSpec) *exec.Cmd {
+					var extra []string
+					if counter.next(shard.Index) == 1 {
+						// First launch dies at a crash point that varies by
+						// shard, covering the full kill surface across the
+						// matrix.
+						extra = []string{chaosKillEnv + "=" + points[shard.Index%len(points)] + "@0"}
+					}
+					return helperCommand("run", shard, rp.Dir(), workers, extra...)
+				}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,10 +312,7 @@ func TestCoordinatorKillRestartMergeMatrix(t *testing.T) {
 						t.Errorf("shard %s: %d deadline kills with no deadline armed", st.Shard, st.DeadlineKills)
 					}
 				}
-				merged, err := MergeJournals(res.JournalPaths, fingerprint, refs)
-				if err != nil {
-					t.Fatal(err)
-				}
+				merged := mergeStore(t, rp)
 				if err := merged.VerifyMissingOwnedBy(fingerprint, res.Failed()); err != nil {
 					t.Fatal(err)
 				}
@@ -279,7 +332,7 @@ func TestCoordinatorKillRestartMergeMatrix(t *testing.T) {
 }
 
 // TestCoordinatorDeadlineReclaimsStraggler wedges a shard's first
-// launch (alive, no journal progress): the process-level deadline must
+// launch (alive, no store growth): the process-level deadline must
 // SIGKILL it, the restart must complete, and the merge must match the
 // oracle.
 func TestCoordinatorDeadlineReclaimsStraggler(t *testing.T) {
@@ -289,26 +342,21 @@ func TestCoordinatorDeadlineReclaimsStraggler(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
 	want := RunGrid(systems, withWorkers(cfg, 1))
-	fingerprint := Fingerprint(systems, cfg)
-	refs := EnumerateCellRefs(systems, cfg)
 
 	counter := newLaunchCounter()
-	ccfg := CoordinatorConfig{
-		Shards:      1,
-		MaxRestarts: 1,
-		// The grace window (Probes × Interval) must outlast a healthy
-		// subprocess's whole boot-to-first-checkpoint span — test binary
-		// startup included, which -race can stretch well past a second —
-		// or the deadline would reap the recovering relaunch too.
-		Deadline: WatchdogPolicy{Probes: 8, Interval: 250 * time.Millisecond},
-		Dir:      t.TempDir(),
-		Command: func(shard ShardSpec, journal string) *exec.Cmd {
-			if counter.next(shard.Index) == 1 {
-				return helperCommand("hang", shard, journal, 1)
-			}
-			return helperCommand("run", shard, journal, 1)
-		},
-	}
+	rp := openTestRepo(t, repo.Options{})
+	ccfg := coordinatorCfg(rp, 1, 1, func(shard ShardSpec) *exec.Cmd {
+		if counter.next(shard.Index) == 1 {
+			return helperCommand("hang", shard, rp.Dir(), 1)
+		}
+		return helperCommand("run", shard, rp.Dir(), 1)
+	})
+	// The grace window (Probes × Interval) must outlast a healthy
+	// subprocess's whole boot-to-first-stored-cell span — test binary
+	// startup and the first cell's fit included, which -race can
+	// stretch past a few seconds — or the deadline would reap the
+	// recovering relaunch too.
+	ccfg.Deadline = WatchdogPolicy{Probes: 8, Interval: 750 * time.Millisecond}
 	res, err := RunCoordinator(ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -323,11 +371,7 @@ func TestCoordinatorDeadlineReclaimsStraggler(t *testing.T) {
 	if st.Launches != 2 {
 		t.Errorf("Launches = %d, want 2", st.Launches)
 	}
-	merged, err := MergeJournals(res.JournalPaths, fingerprint, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged.Records, want) {
+	if merged := mergeStore(t, rp); !reflect.DeepEqual(merged.Records, want) {
 		t.Error("merge after straggler reclamation differs from oracle")
 	}
 }
@@ -352,18 +396,13 @@ func TestCoordinatorDegradesExhaustedShard(t *testing.T) {
 		doomed.Index = 1
 	}
 
-	ccfg := CoordinatorConfig{
-		Shards:      2,
-		MaxRestarts: 1,
-		Dir:         t.TempDir(),
-		Command: func(shard ShardSpec, journal string) *exec.Cmd {
-			if shard == doomed {
-				return helperCommand("run", shard, journal, 1, chaosKillEnv+"=start@0")
-			}
-			return helperCommand("run", shard, journal, 1)
-		},
-	}
-	res, err := RunCoordinator(ccfg)
+	rp := openTestRepo(t, repo.Options{})
+	res, err := RunCoordinator(coordinatorCfg(rp, 2, 1, func(shard ShardSpec) *exec.Cmd {
+		if shard == doomed {
+			return helperCommand("run", shard, rp.Dir(), 1, chaosKillEnv+"=start@0")
+		}
+		return helperCommand("run", shard, rp.Dir(), 1)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,10 +431,7 @@ func TestCoordinatorDegradesExhaustedShard(t *testing.T) {
 		t.Fatalf("Failed() = %v, want [%s]", failed, doomed)
 	}
 
-	merged, err := MergeJournals(res.JournalPaths, fingerprint, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := mergeStore(t, rp)
 	if err := merged.VerifyMissingOwnedBy(fingerprint, failed); err != nil {
 		t.Errorf("degraded sweep failed its own completeness check: %v", err)
 	}
@@ -420,19 +456,23 @@ func TestCoordinatorDegradesExhaustedShard(t *testing.T) {
 }
 
 // TestCoordinatorRejectsBadConfig: coordinator-level misconfiguration
+// — including a missing or read-only store, the shards' only output —
 // is an error before any subprocess spawns.
 func TestCoordinatorRejectsBadConfig(t *testing.T) {
-	dir := t.TempDir()
-	cmdFn := func(shard ShardSpec, journal string) *exec.Cmd { return helperCommand("run", shard, journal, 1) }
-	cases := []CoordinatorConfig{
-		{Shards: 0, Dir: dir, Command: cmdFn},
-		{Shards: -2, Dir: dir, Command: cmdFn},
-		{Shards: 2, Dir: dir, Command: nil},
-		{Shards: 2, MaxRestarts: -1, Dir: dir, Command: cmdFn},
+	rp := openTestRepo(t, repo.Options{})
+	ro := reopen(t, rp, repo.Options{ReadOnly: true})
+	cmdFn := func(shard ShardSpec) *exec.Cmd { return helperCommand("run", shard, rp.Dir(), 1) }
+	cases := map[string]CoordinatorConfig{
+		"no shards":         coordinatorCfg(rp, 0, 0, cmdFn),
+		"negative shards":   coordinatorCfg(rp, -2, 0, cmdFn),
+		"no command":        coordinatorCfg(rp, 2, 0, nil),
+		"negative restarts": coordinatorCfg(rp, 2, -1, cmdFn),
+		"no store":          coordinatorCfg(nil, 2, 0, cmdFn),
+		"read-only store":   coordinatorCfg(ro, 2, 0, cmdFn),
 	}
-	for i, cc := range cases {
+	for name, cc := range cases {
 		if _, err := RunCoordinator(cc); err == nil {
-			t.Errorf("case %d: invalid coordinator config accepted", i)
+			t.Errorf("%s: invalid coordinator config accepted", name)
 		}
 	}
 }
@@ -440,13 +480,7 @@ func TestCoordinatorRejectsBadConfig(t *testing.T) {
 // TestCoordinatorNilCommandResult: a Command builder returning nil for
 // one shard fails that shard, not the coordinator.
 func TestCoordinatorNilCommandResult(t *testing.T) {
-	ccfg := CoordinatorConfig{
-		Shards:      1,
-		MaxRestarts: 0,
-		Dir:         t.TempDir(),
-		Command:     func(ShardSpec, string) *exec.Cmd { return nil },
-	}
-	res, err := RunCoordinator(ccfg)
+	res, err := RunCoordinator(coordinatorCfg(openTestRepo(t, repo.Options{}), 1, 0, func(ShardSpec) *exec.Cmd { return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/openml"
+	"repro/internal/repo"
 )
 
 func TestParseShardSpec(t *testing.T) {
@@ -149,10 +149,11 @@ func TestEnumerateCellRefsMatchesGridOrder(t *testing.T) {
 	}
 }
 
-// TestRunShardMergeByteIdenticalMatrix is the tentpole contract, run
+// TestRunShardMergeByteIdenticalMatrix is the sharding contract, run
 // in-process: for shard counts 1, 2 and 4 at worker counts 1 and 4, the
-// merged shard journals must reproduce the unsharded single-worker
-// run's records — and its CSV/JSON/SVG exports — byte for byte.
+// merge of the store the shards shared must reproduce the unsharded
+// single-worker run's records — and its CSV/JSON/SVG exports — byte
+// for byte.
 func TestRunShardMergeByteIdenticalMatrix(t *testing.T) {
 	cfg := chaosCfg()
 	systems := chaosSystems()
@@ -164,27 +165,24 @@ func TestRunShardMergeByteIdenticalMatrix(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
-			dir := t.TempDir()
-			var paths []string
+			rp := openTestRepo(t, repo.Options{})
 			coveredCells := 0
 			for i := 0; i < shards; i++ {
-				scfg := withWorkers(cfg, workers)
+				scfg := withStore(withWorkers(cfg, workers), rp)
 				scfg.Shard = ShardSpec{Index: i, Count: shards}
-				path := filepath.Join(dir, fmt.Sprintf("s%d.jsonl", i))
-				run, err := RunShard(systems, scfg, path)
+				run, err := RunShard(systems, scfg, "")
 				if err != nil {
 					t.Fatalf("%s: shard %d: %v", name, i, err)
 				}
-				if run.Damaged != 0 {
-					t.Fatalf("%s: shard %d reports %d damaged lines on a clean run", name, i, run.Damaged)
+				if run.Repo.Hits != 0 || run.Repo.Stored != len(run.Records) {
+					t.Fatalf("%s: shard %d stats %+v, want every one of its %d cells executed and stored", name, i, run.Repo, len(run.Records))
 				}
 				coveredCells += len(run.Records)
-				paths = append(paths, path)
 			}
 			if coveredCells != len(want) {
 				t.Fatalf("%s: shards ran %d cells, grid has %d — partition is not a partition", name, coveredCells, len(want))
 			}
-			res, err := MergeJournals(paths, fingerprint, refs)
+			res, err := MergeStores([]*repo.Repository{rp}, fingerprint, refs)
 			if err != nil {
 				t.Fatalf("%s: merge: %v", name, err)
 			}
@@ -214,7 +212,7 @@ func TestShardRecordsAreGridSubsequence(t *testing.T) {
 
 	scfg := cfg
 	scfg.Shard = spec
-	run, err := RunShard(systems, scfg, filepath.Join(t.TempDir(), "s.jsonl"))
+	run, err := RunShard(systems, scfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,75 +230,98 @@ func TestShardRecordsAreGridSubsequence(t *testing.T) {
 	}
 }
 
-// TestShardJournalBindsAssignment: a shard journal refuses to resume
-// under a different shard assignment or grid fingerprint — the cell set
-// would silently diverge from the file's contents.
-func TestShardJournalBindsAssignment(t *testing.T) {
-	cfg := chaosCfg()
+// TestShardStoreResumesAcrossAssignments: the store binds no shard
+// assignment, so a store half-filled by a 2-shard run (shard 1 never
+// ran) resumes as a 4-shard run that executes only the missing cells,
+// and the merged exports are byte-identical to the unsharded run.
+func TestShardStoreResumesAcrossAssignments(t *testing.T) {
+	cfg := mergeCfg()
 	systems := chaosSystems()
+	want := RunGrid(systems, withWorkers(cfg, 1))
+	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
 	fingerprint := Fingerprint(systems, cfg)
-	path := filepath.Join(t.TempDir(), "s.jsonl")
+	refs := EnumerateCellRefs(systems, cfg)
 
-	j, err := openJournal(path, fingerprint, ShardSpec{Index: 0, Count: 2})
+	rp := openTestRepo(t, repo.Options{})
+	runShards(t, rp, cfg, 2, []int{0}, 1)
+	stored := ownedCells(fingerprint, refs, ShardSpec{Index: 0, Count: 2})
+	if stored == 0 || stored == len(refs) {
+		t.Fatalf("shard 0 of 2 owns %d of %d cells — nothing to resume", stored, len(refs))
+	}
+
+	var total RepoStats
+	for i := 0; i < 4; i++ {
+		scfg := withStore(withWorkers(cfg, 2), rp)
+		scfg.Shard = ShardSpec{Index: i, Count: 4}
+		run, err := RunShard(systems, scfg, "")
+		if err != nil {
+			t.Fatalf("shard %d/4: %v", i, err)
+		}
+		total.Hits += run.Repo.Hits
+		total.Misses += run.Repo.Misses
+		total.Stored += run.Repo.Stored
+	}
+	if total != (RepoStats{Hits: stored, Misses: len(refs) - stored, Stored: len(refs) - stored}) {
+		t.Errorf("4-shard resume stats %+v, want %d hits and only the %d missing cells executed", total, stored, len(refs)-stored)
+	}
+
+	res, err := MergeStores([]*repo.Repository{rp}, fingerprint, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
-
-	if _, err := openJournal(path, fingerprint, ShardSpec{Index: 1, Count: 2}); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Errorf("resume under a different shard index accepted (err=%v)", err)
+	if len(res.Missing) != 0 || !reflect.DeepEqual(res.Records, want) {
+		t.Fatalf("merge after cross-assignment resume: %d missing, records equal oracle: %v", len(res.Missing), reflect.DeepEqual(res.Records, want))
 	}
-	if _, err := openJournal(path, fingerprint, ShardSpec{Index: 0, Count: 4}); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Errorf("resume under a different shard count accepted (err=%v)", err)
-	}
-	if _, err := openJournal(path, fingerprint, ShardSpec{}); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Errorf("resume of a shard journal as a whole-grid journal accepted (err=%v)", err)
-	}
-	if _, err := openJournal(path, "feedfacefeedface", ShardSpec{Index: 0, Count: 2}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Errorf("resume under a different fingerprint accepted (err=%v)", err)
-	}
-	if _, err := openJournal(path, fingerprint, ShardSpec{Index: 0, Count: 2}); err != nil {
-		t.Errorf("resume under the original assignment refused: %v", err)
+	csv, js, svg := chaosExports(t, res.Records)
+	if !bytes.Equal(csv, wantCSV) || !bytes.Equal(js, wantJSON) || !bytes.Equal(svg, wantSVG) {
+		t.Error("merged exports after cross-assignment resume are not byte-identical to the unsharded run")
 	}
 }
 
-// TestWholeGridJournalStaysCompatible: unsharded journals written
-// before sharding existed carry no shard field; they must keep opening
-// under the zero spec.
-func TestWholeGridJournalStaysCompatible(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	j, err := OpenJournal(path, "0123456789abcdef")
-	if err != nil {
-		t.Fatal(err)
+// TestWholeGridStoreServesShards: a store filled by an unsharded run
+// serves every shard of any later split as pure hits — zero fits.
+func TestWholeGridStoreServesShards(t *testing.T) {
+	cfg := mergeCfg()
+	systems := chaosSystems()
+	rp := openTestRepo(t, repo.Options{})
+	runShards(t, rp, cfg, 1, []int{0}, 1)
+
+	ResetFitProbe()
+	for i := 0; i < 3; i++ {
+		scfg := withStore(cfg, rp)
+		scfg.Shard = ShardSpec{Index: i, Count: 3}
+		run, err := RunShard(systems, scfg, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Repo != (RepoStats{Hits: len(run.Records)}) {
+			t.Errorf("shard %d/3 stats %+v, want %d pure hits", i, run.Repo, len(run.Records))
+		}
 	}
-	rec := Record{System: "S", Dataset: "d", Budget: time.Second, TestScore: 0.5}
-	if err := j.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	j2, err := OpenJournal(path, "0123456789abcdef")
-	if err != nil {
-		t.Fatalf("whole-grid journal refused to reopen: %v", err)
-	}
-	defer j2.Close()
-	if j2.Len() != 1 {
-		t.Errorf("replayed %d records, want 1", j2.Len())
+	if n := FitProbeCount(); n != 0 {
+		t.Errorf("shards of a fully stored grid performed %d fit(s), want 0", n)
 	}
 }
 
-// TestRunShardValidatesSpec: a malformed shard spec is a configuration
-// error before any cell runs.
+// TestRunShardValidatesSpec: a malformed shard spec, or a journal path
+// (run journals are retired; the store is the resume mechanism), is a
+// configuration error before any cell runs.
 func TestRunShardValidatesSpec(t *testing.T) {
 	cfg := chaosCfg()
 	cfg.Shard = ShardSpec{Index: 5, Count: 2}
-	if _, err := RunShard(chaosSystems(), cfg, filepath.Join(t.TempDir(), "s.jsonl")); err == nil {
+	if _, err := RunShard(chaosSystems(), cfg, ""); err == nil {
 		t.Error("out-of-range shard accepted")
+	}
+	cfg.Shard = ShardSpec{Index: 0, Count: 2}
+	if _, err := RunShard(chaosSystems(), cfg, "s0.jsonl"); err == nil || !strings.Contains(err.Error(), "Repo") {
+		t.Errorf("journal path accepted (err=%v), want an error pointing to Config.Repo", err)
 	}
 }
 
 // TestShardFingerprintIgnoresShard: the shard assignment is a
 // throughput knob like Workers — two shards of the same grid must agree
-// on the fingerprint, or merge would refuse its own journals.
+// on the fingerprint, or they would write into different parts of the
+// store and merge would find holes.
 func TestShardFingerprintIgnoresShard(t *testing.T) {
 	cfg := chaosCfg()
 	systems := chaosSystems()
@@ -345,7 +366,7 @@ func TestEnumerateGridShardsLazily(t *testing.T) {
 	}
 	scfg := cfg
 	scfg.Shard = spec
-	cells, _, err := enumerateGrid(systems, scfg, faults.New(scfg.Faults), nil, fingerprint)
+	cells, _, err := enumerateGrid(systems, scfg, faults.New(scfg.Faults), fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ type EnsembleSimResult struct {
 // slab lookups, the selection loop, blending and scoring — is charged
 // to a single-core meter on cfg.Machine, so the result reports real
 // (tiny) kWh instead of pretending the analysis was free. Cells with
-// fewer than two stored members are skipped and their absent members
-// counted as Missing.
+// fewer than two stored members are skipped; absent members, and
+// members stored without predictions, are counted as Missing.
 func SimulateEnsembles(systems []automl.System, cfg Config, rp *repo.Repository) (*EnsembleSimResult, error) {
 	if rp == nil {
 		return nil, fmt.Errorf("bench: ensemble simulation needs a repository")
@@ -102,7 +102,10 @@ func SimulateEnsembles(systems []automl.System, cfg Config, rp *repo.Repository)
 						res.Damaged++
 						continue
 					}
-					if e == nil {
+					if e == nil || e.Rows == 0 {
+						// Absent, or stored without predictions (a
+						// dataset error, a failed fallback): nothing to
+						// blend.
 						res.Missing++
 						continue
 					}

@@ -1,7 +1,7 @@
 // Package repo implements the content-addressed evaluation repository:
 // a columnar, CRC-checksummed on-disk store of every benchmark grid
 // cell's per-row prediction probabilities, score, record and inference
-// cost, keyed by the grid's config fingerprint plus the cell's journal
+// cost, keyed by the grid's config fingerprint plus the cell's
 // identity (TabRepo's central idea, see PAPERS.md).
 //
 // Once a cell's predictions are persisted, three things become cheap:
@@ -72,7 +72,7 @@ type Entry struct {
 	// Fingerprint is the grid config fingerprint the cell belongs to
 	// (bench.Fingerprint); entries of different grids never alias.
 	Fingerprint string
-	// Key is the cell identity — the journal's cellID string.
+	// Key is the cell identity (bench's cellID string).
 	Key string
 	// System and Dataset denormalize the key's first two components so
 	// store-wide consumers can group entries without parsing keys.
@@ -82,13 +82,14 @@ type Entry struct {
 	// out of Record so portfolio meta-learning reads it directly.
 	Score float64
 	// Record is the caller's canonical record encoding (bench stores
-	// the journal's JSON), replayed verbatim on a cache hit — which is
+	// the record's JSON), replayed verbatim on a cache hit — which is
 	// what makes warm reruns byte-identical.
 	Record []byte
 	// Config is the winning pipeline configuration's JSON, when the
 	// system exposed one; nil otherwise. Meta-learning input.
 	Config []byte
-	// Rows and Classes shape the probability slab.
+	// Rows and Classes shape the probability slab; both are zero for a
+	// cell that produced no predictions (its record is all there is).
 	Rows    int
 	Classes int
 	// Proba is the per-row prediction probabilities as one contiguous
@@ -149,11 +150,14 @@ func (r *Repository) ReadOnly() bool { return r.opts.ReadOnly }
 // AllowsDamage reports whether damaged cells degrade to counted misses.
 func (r *Repository) AllowsDamage() bool { return r.opts.AllowDamage }
 
-// cellPath is the content address of a cell: a pure function of
+// CellPath is the content address of a cell: a pure function of
 // (fingerprint, key). The key hash only locates the file; the key
 // stored inside the payload is verified on read, so a 64-bit collision
-// is detected as damage rather than silently aliasing two cells.
-func (r *Repository) cellPath(fingerprint, key string) string {
+// is detected as damage rather than silently aliasing two cells. A
+// stat of this path tells whether a cell was stored without decoding
+// it; atomicio's in-flight temp files (".<name>.tmp-*") sit beside it
+// under other names, so Get and Walk never see a half-written cell.
+func (r *Repository) CellPath(fingerprint, key string) string {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return filepath.Join(r.dir, fingerprint, fmt.Sprintf("%016x%s", h.Sum64(), cellExt))
@@ -164,7 +168,7 @@ func (r *Repository) cellPath(fingerprint, key string) string {
 // verification returns damaged == true: with AllowDamage the error is
 // nil (a counted miss), otherwise the error wraps ErrDamaged.
 func (r *Repository) Get(fingerprint, key string) (e *Entry, damaged bool, err error) {
-	path := r.cellPath(fingerprint, key)
+	path := r.CellPath(fingerprint, key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -202,7 +206,7 @@ func (r *Repository) Put(e *Entry) error {
 	if len(e.Proba) != e.Rows*e.Classes {
 		return fmt.Errorf("repo: cell %s: %d proba values cannot hold %d rows × %d classes", e.Key, len(e.Proba), e.Rows, e.Classes)
 	}
-	path := r.cellPath(e.Fingerprint, e.Key)
+	path := r.CellPath(e.Fingerprint, e.Key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("repo: creating fingerprint directory: %w", err)
 	}

@@ -184,8 +184,8 @@ func TestKeyAliasingDetected(t *testing.T) {
 	// Move the intact cell to the path of a different key: the envelope
 	// still verifies, but the payload's key no longer matches the path's
 	// promise — the hash-collision case.
-	orig := r.cellPath("fp01", "k")
-	alias := r.cellPath("fp01", "other")
+	orig := r.CellPath("fp01", "k")
+	alias := r.CellPath("fp01", "other")
 	if err := os.Rename(orig, alias); err != nil {
 		t.Fatal(err)
 	}

@@ -107,9 +107,9 @@ func Makespan(durations []time.Duration, workers int) time.Duration {
 // harness: a position observed unchanged across Threshold consecutive
 // probes means the observed party has stopped making progress. The
 // in-process cell watchdog feeds it virtual-clock probes; the shard
-// coordinator feeds it journal sizes — in both cases the probe cadence
-// is operator-facing real time, but the stall verdict depends only on
-// whether the monotone position advanced, never on how fast.
+// coordinator feeds it counts of stored cells — in both cases the probe
+// cadence is operator-facing real time, but the stall verdict depends
+// only on whether the monotone position advanced, never on how fast.
 type StallCounter struct {
 	threshold int
 	last      int64

@@ -15,7 +15,7 @@
 # sanctioned pattern is operator-facing liveness machinery whose verdict
 # never reaches a measured quantity, e.g. the cell watchdog's probe
 # ticker (internal/bench/scheduler.go), the coordinator's
-# process-deadline timer over shard journal growth
+# process-deadline timer over store growth
 # (internal/bench/coordinator.go), and the serving daemon's
 # batch-window timer (internal/serve/server.go) — the wall timer only
 # decides *when* a queued batch flushes; latency, joules, and every
