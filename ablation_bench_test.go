@@ -46,7 +46,10 @@ func meanScore(stats []bench.CellStats, system string) float64 {
 // scores.
 func runAblation(b *testing.B, budget time.Duration, variantA, variantB automl.System) (scoreA, scoreB float64) {
 	cfg := ablationConfig(b, budget)
-	records := bench.RunGrid([]automl.System{variantA, variantB}, cfg)
+	records, err := bench.RunGrid([]automl.System{variantA, variantB}, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	stats := bench.Aggregate(records, benchAblRNG())
 	return meanScore(stats, variantA.Name()), meanScore(stats, variantB.Name())
 }
@@ -132,10 +135,13 @@ func BenchmarkAblationUpfrontSampling(b *testing.B) {
 func BenchmarkAblationStacking(b *testing.B) {
 	cfg := ablationConfig(b, time.Minute)
 	for i := 0; i < b.N; i++ {
-		records := bench.RunGrid([]automl.System{
+		records, err := bench.RunGrid([]automl.System{
 			automl.NewAutoGluon(),
 			automl.NewAutoGluonFastInference(),
 		}, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		stats := bench.Aggregate(records, benchAblRNG())
 		if i == b.N-1 {
 			full := meanScore(stats, "AutoGluon")

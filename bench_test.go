@@ -61,7 +61,10 @@ var fig3Cache *bench.Fig3Result
 
 func fig3Result(tb testing.TB) *bench.Fig3Result {
 	if fig3Cache == nil {
-		r := bench.Fig3(benchConfig(tb))
+		r, err := bench.Fig3(benchConfig(tb))
+		if err != nil {
+			tb.Fatal(err)
+		}
 		fig3Cache = &r
 	}
 	return fig3Cache
@@ -108,7 +111,10 @@ func BenchmarkFig5(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Budgets = []time.Duration{10 * time.Second, time.Minute}
 	for i := 0; i < b.N; i++ {
-		res := bench.Fig5(cfg, []int{1, 2, 4, 8})
+		res, err := bench.Fig5(cfg, []int{1, 2, 4, 8})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.Log("\n" + res.Render())
 			// Headline check values: CAML 8-core/1-core energy ratio
@@ -137,7 +143,10 @@ func BenchmarkFig6(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Budgets = []time.Duration{30 * time.Second, time.Minute}
 	for i := 0; i < b.N; i++ {
-		res := bench.Fig6(cfg, nil)
+		res, err := bench.Fig6(cfg, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.Log("\n" + res.Render())
 		}
@@ -150,7 +159,10 @@ func BenchmarkFig7(b *testing.B) {
 	cfg := benchConfig(b)
 	base := fig3Result(b)
 	for i := 0; i < b.N; i++ {
-		res := bench.Fig7(cfg, benchMetaOpts(), base.Stats)
+		res, err := bench.Fig7(cfg, benchMetaOpts(), base.Stats)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.Log("\n" + res.Render())
 			if res.Dev != nil {
@@ -187,7 +199,10 @@ func BenchmarkTable3(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Datasets = cfg.Datasets[:3]
 	for i := 0; i < b.N; i++ {
-		res := bench.Table3(cfg)
+		res, err := bench.Table3(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.Log("\n" + res.Render())
 			for _, row := range res.Rows {
@@ -262,7 +277,10 @@ func BenchmarkTable8(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Datasets = cfg.Datasets[:2]
 	for i := 0; i < b.N; i++ {
-		res := bench.Table8(cfg, benchMetaOpts(), []int{2, 4})
+		res, err := bench.Table8(cfg, benchMetaOpts(), []int{2, 4})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.Log("\n" + res.Render())
 		}
@@ -275,7 +293,10 @@ func BenchmarkTable9(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Datasets = cfg.Datasets[:2]
 	for i := 0; i < b.N; i++ {
-		res := bench.Table9(cfg, benchMetaOpts(), []int{4, 8})
+		res, err := bench.Table9(cfg, benchMetaOpts(), []int{4, 8})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.Log("\n" + res.Render())
 		}

@@ -45,25 +45,24 @@ import (
 // options holds every flag value, so validation is a pure function the
 // tests can drive table-style without a process boundary.
 type options struct {
-	experiment  string
-	seeds       int
-	datasets    int
-	names       string
-	quick       bool
-	metaIters   int
-	metaTopK    int
-	csvPath     string
-	jsonPath    string
-	svgDir      string
-	faultRate   float64
-	faultSeed   uint64
-	memoryGB    float64
-	retries     int
-	workers     int
-	parallelism int
-	hangRate    float64
-	wdProbes    int
-	reportDir   string
+	experiment string
+	seeds      int
+	datasets   int
+	names      string
+	quick      bool
+	metaIters  int
+	metaTopK   int
+	csvPath    string
+	jsonPath   string
+	svgDir     string
+	faultRate  float64
+	faultSeed  uint64
+	memoryGB   float64
+	retries    int
+	workers    int
+	hangRate   float64
+	wdProbes   int
+	reportDir  string
 
 	shard         string
 	merge         string
@@ -100,9 +99,6 @@ func (o *options) validate() error {
 	}
 	if o.workers < 0 {
 		return fmt.Errorf("-workers %d must not be negative (0 means NumCPU)", o.workers)
-	}
-	if o.parallelism < 0 {
-		return fmt.Errorf("-parallelism %d must not be negative (0 means automatic)", o.parallelism)
 	}
 	if o.wdProbes < 0 {
 		return fmt.Errorf("-watchdog-probes %d must not be negative (0 means off)", o.wdProbes)
@@ -238,7 +234,6 @@ func parseArgs(args []string) (options, error) {
 	fs.Float64Var(&o.memoryGB, "memory-gb", 0, "machine memory model in GB for simulated OOM kills (0 = off)")
 	fs.IntVar(&o.retries, "retries", 0, "max Fit attempts per cell (0 = 1, or 3 with faults enabled); retry energy is charged")
 	fs.IntVar(&o.workers, "workers", 0, "grid cells run concurrently (0 = NumCPU); output is identical at any worker count")
-	fs.IntVar(&o.parallelism, "parallelism", 0, "within-cell kernel worker budget (0 = auto: idle cores split across uncached cells); output is bit-identical at any level")
 	fs.Float64Var(&o.hangRate, "hang-rate", 0, "per-attempt probability in [0,1] that a Fit hangs without progress, exercising the stall watchdog (0 = off)")
 	fs.IntVar(&o.wdProbes, "watchdog-probes", 0, "probe intervals without virtual progress before a cell is abandoned as stalled (0 = off, or 4 when -hang-rate > 0)")
 	fs.StringVar(&o.reportDir, "report-dir", "", "also write each experiment's rendered report into this directory (atomic replace)")
@@ -259,26 +254,30 @@ func parseArgs(args []string) (options, error) {
 	return o, o.validate()
 }
 
-func main() {
-	o, err := parseArgs(os.Args[1:])
+func main() { os.Exit(runMain(os.Args[1:])) }
+
+// runMain runs one command line and returns its exit status: 0 on
+// success, 2 on a usage error, 1 when the run itself fails.
+func runMain(args []string) int {
+	o, err := parseArgs(args)
 	if err == flag.ErrHelp {
-		os.Exit(0)
+		return 0
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	cfg, err := gridConfig(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
-		os.Exit(2)
+		return 2
 	}
 	if o.repoDir != "" {
 		rp, err := repo.Open(o.repoDir, repo.Options{ReadOnly: o.repoReadonly, AllowDamage: o.repoAllowDamage})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "greenbench:", err)
-			os.Exit(1)
+			return 1
 		}
 		cfg.Repo = rp
 	}
@@ -308,8 +307,9 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func experimentIDs(experiment string) []string {
@@ -329,11 +329,10 @@ func gridConfig(o options) (bench.Config, error) {
 			Seed:        o.faultSeed,
 			MemoryBytes: int64(o.memoryGB * 1e9),
 		},
-		Retry:       bench.RetryPolicy{MaxAttempts: o.retries},
-		Workers:     o.workers,
-		Parallelism: o.parallelism,
-		Watchdog:    bench.WatchdogPolicy{Probes: o.wdProbes},
-		Shard:       o.shardSpec,
+		Retry:    bench.RetryPolicy{MaxAttempts: o.retries},
+		Workers:  o.workers,
+		Watchdog: bench.WatchdogPolicy{Probes: o.wdProbes},
+		Shard:    o.shardSpec,
 	}
 	datasets := o.datasets
 	if o.quick {
@@ -496,7 +495,6 @@ func forwardedArgs(o options) []string {
 		"-memory-gb", strconv.FormatFloat(o.memoryGB, 'g', -1, 64),
 		"-retries", strconv.Itoa(o.retries),
 		"-workers", strconv.Itoa(o.workers),
-		"-parallelism", strconv.Itoa(o.parallelism),
 		"-hang-rate", strconv.FormatFloat(o.hangRate, 'g', -1, 64),
 		"-watchdog-probes", strconv.Itoa(o.wdProbes),
 	}
@@ -548,6 +546,7 @@ func run(ids []string, cfg bench.Config, meta metaopt.Options, csvPath, jsonPath
 		//greenlint:allow wallclock operator-facing progress timing on stderr, not a measured quantity
 		start := time.Now()
 		var out string
+		var err error
 		switch strings.TrimSpace(id) {
 		case "fig3":
 			out = needFig3().Render()
@@ -569,7 +568,10 @@ func run(ids []string, cfg bench.Config, meta metaopt.Options, csvPath, jsonPath
 				}
 			}
 		case "fig5":
-			fig5 := bench.Fig5(cfg, nil)
+			fig5, err := bench.Fig5(cfg, nil)
+			if err != nil {
+				return err
+			}
 			out = fig5.Render()
 			if svgDir != "" {
 				if err := writeSVG(svgDir, "fig5.svg", func(w io.Writer) error { return bench.WriteFig5SVG(w, fig5) }); err != nil {
@@ -577,11 +579,11 @@ func run(ids []string, cfg bench.Config, meta metaopt.Options, csvPath, jsonPath
 				}
 			}
 		case "fig6":
-			out = bench.Fig6(cfg, nil).Render()
+			out, err = rendered(bench.Fig6(cfg, nil))
 		case "fig7":
-			out = bench.Fig7(cfg, meta, needFig3().Stats).Render()
+			out, err = rendered(bench.Fig7(cfg, meta, needFig3().Stats))
 		case "table3":
-			out = bench.Table3(cfg).Render()
+			out, err = rendered(bench.Table3(cfg))
 		case "table4":
 			out = bench.Table4(needFig3().Stats).Render()
 		case "table5":
@@ -591,15 +593,18 @@ func run(ids []string, cfg bench.Config, meta metaopt.Options, csvPath, jsonPath
 		case "table7":
 			out = bench.Table7(needFig3().Stats, cfg.Budgets).Render()
 		case "table8":
-			out = bench.Table8(cfg, meta, nil).Render()
+			out, err = rendered(bench.Table8(cfg, meta, nil))
 		case "table9":
-			out = bench.Table9(cfg, meta, nil).Render()
+			out, err = rendered(bench.Table9(cfg, meta, nil))
 		case "winners":
 			out = bench.Winners(needFig3().Records).Render()
 		case "significance":
 			out = bench.Significance(needFig3().Records).Render()
 		default:
 			return fmt.Errorf("unknown experiment %q", id)
+		}
+		if err != nil {
+			return err
 		}
 		if fig3Err != nil {
 			return fig3Err
@@ -624,6 +629,14 @@ func run(ids []string, cfg bench.Config, meta metaopt.Options, csvPath, jsonPath
 		}
 	}
 	return nil
+}
+
+// rendered renders an experiment result, or passes its error through.
+func rendered[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
 }
 
 // writeSVG writes one chart into the SVG output directory. The write is

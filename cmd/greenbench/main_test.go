@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/metaopt"
 	"repro/internal/openml"
+	"repro/internal/repo"
 )
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
@@ -31,6 +34,54 @@ func TestRunTinyFig4(t *testing.T) {
 	}
 	if err := run([]string{"fig4"}, cfg, metaopt.Options{}, "", "", "", "", nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFig5DamagedStoreExitsNonZero: with a damaged cell in -repo,
+// -experiment fig5 exits 1 instead of rendering a table from a partial
+// grid and exiting 0.
+func TestFig5DamagedStoreExitsNonZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small grid")
+	}
+	dir := t.TempDir()
+	args := []string{"-experiment", "fig5", "-quick", "-names", "credit-g", "-repo", dir}
+	o, err := parseArgs(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := gridConfig(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Repo, err = repo.Open(dir, repo.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	// Store the one-core grid fig5 runs first, then damage one cell.
+	if _, err := bench.Fig5(cfg, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	var cell string
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && cell == "" && strings.HasSuffix(path, ".cell") {
+			cell = path
+		}
+		return err
+	})
+	if err != nil || cell == "" {
+		t.Fatalf("no stored cell to damage (walk error %v)", err)
+	}
+	data, err := os.ReadFile(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-9] ^= 0x40
+	if err := os.WriteFile(cell, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if code := runMain(args); code != 1 {
+		t.Fatalf("greenbench %s exited %d over a damaged store, want 1", strings.Join(args, " "), code)
 	}
 }
 
@@ -131,9 +182,6 @@ func TestOptionsValidate(t *testing.T) {
 		{name: "workers negative", mutate: func(o *options) {
 			o.workers = -3
 		}, wantErr: "-workers"},
-		{name: "parallelism negative", mutate: func(o *options) {
-			o.parallelism = -2
-		}, wantErr: "-parallelism"},
 		{name: "watchdog probes negative", mutate: func(o *options) {
 			o.wdProbes = -1
 		}, wantErr: "-watchdog-probes"},
@@ -322,6 +370,7 @@ func TestParseArgs(t *testing.T) {
 		{"journal flag is gone", []string{"-journal", "run.jsonl"}, "flag provided but not defined: -journal"},
 		{"shard-dir flag is gone", []string{"-coordinator", "-shards", "2", "-shard-dir", "run"}, "flag provided but not defined: -shard-dir"},
 		{"merge-allow-damage flag is gone", []string{"-merge", store, "-merge-allow-damage"}, "flag provided but not defined: -merge-allow-damage"},
+		{"parallelism flag is gone", []string{"-parallelism", "2"}, "flag provided but not defined: -parallelism"},
 		{"shard without repo", []string{"-shard", "0/2"}, "require a writable -repo"},
 		{"shard with readonly repo", []string{"-shard", "0/2", "-repo", store, "-repo-readonly"}, "require a writable -repo"},
 		{"coordinator with readonly repo", []string{"-coordinator", "-shards", "2", "-repo", store, "-repo-readonly"}, "require a writable -repo"},

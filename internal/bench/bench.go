@@ -61,15 +61,6 @@ type Config struct {
 	// Workers is a pure throughput knob and deliberately not part of the
 	// grid fingerprint.
 	Workers int
-	// Parallelism sets the within-cell worker budget handed to the ml
-	// kernels (ml.SetParallelism) for the duration of the grid. Zero
-	// chooses automatically: cores that cross-cell concurrency leaves
-	// idle — Workers divided by the number of uncached cells, floored at
-	// 1 — go to individual fits. The kernels' sanctioned reduction
-	// orders make every proba, Cost and export bit-identical at any
-	// level, so like Workers this is a pure throughput knob and
-	// deliberately not part of the grid fingerprint.
-	Parallelism int
 	// Watchdog configures the per-cell stall watchdog. The zero value
 	// disables it unless hang faults are injected, in which case
 	// normalization arms it with defaults — a hang with no watchdog
@@ -285,22 +276,22 @@ func DefaultSystems() []automl.System {
 // RunGrid measures every (system × dataset × budget × seed) cell and
 // returns the records. Budgets below a system's minimum are skipped, as in
 // the paper (ASKL starts at 30s, TPOT at 1m, TabPFN runs once per
-// budget regardless).
-func RunGrid(systems []automl.System, cfg Config) []Record {
-	records, _, _ := runGrid(systems, cfg, nil)
-	return records
+// budget regardless). The error reports a repository that refused a
+// damaged cell or failed a write; no records are returned with it.
+func RunGrid(systems []automl.System, cfg Config) ([]Record, error) {
+	records, _, err := runGrid(systems, cfg, nil)
+	return records, err
 }
 
 // runGrid executes the grid: it enumerates every cell (hoisting dataset
 // generation, train/test splits and repository consultation out of the
-// execution path), then runs the cells serially or on a bounded worker
-// pool depending on cfg.Workers, writing each executed cell back to
-// cfg.Repo. Cells are independent — their RNG streams derive from cell
-// identity, not shared state — so a resumed run (a warm replay of a
-// killed run's store) or a parallel one executes the remaining cells
-// exactly as an uninterrupted serial run would, and the returned
-// records are byte-identical at every worker count. crash, when set, is
-// the chaos hook every store write passes through.
+// execution path), then runs the cells on a pool of cfg.Workers
+// workers, writing each executed cell back to cfg.Repo. Cells are
+// independent — their RNG streams derive from cell identity, not shared
+// state — so a resumed run (a warm replay of a killed run's store)
+// executes the remaining cells exactly as an uninterrupted run would,
+// and the returned records are byte-identical at every worker count.
+// crash, when set, is the chaos hook every store write passes through.
 func runGrid(systems []automl.System, cfg Config, crash crashFn) ([]Record, RepoStats, error) {
 	cfg = cfg.normalized()
 	inj := faults.New(cfg.Faults)
@@ -312,42 +303,10 @@ func runGrid(systems []automl.System, cfg Config, crash crashFn) ([]Record, Repo
 	if err != nil {
 		return nil, stats, err
 	}
-	// Hand idle cores to the kernels for the duration of the grid. The
-	// knob is global but harmless if grids overlap: every kernel is
-	// bit-identical at every level, so a racing Set can only shift
-	// wall-clock time, never a record.
-	prev := ml.SetParallelism(cellParallelism(cfg, cells))
-	defer ml.SetParallelism(prev)
 	st := &cellStore{rp: cfg.Repo, fingerprint: fingerprint, crash: crash}
-	var records []Record
-	if cfg.Workers == 1 {
-		records, err = runGridSerial(cells, cfg, inj, st)
-	} else {
-		records, err = runGridParallel(cells, cfg, inj, st)
-	}
+	records, err := runCells(cells, cfg, inj, st)
 	stats.Stored = int(st.stored.Load())
 	return records, stats, err
-}
-
-// cellParallelism resolves the within-cell worker budget for a grid:
-// the explicit cfg.Parallelism when set, otherwise Workers divided by
-// the uncached cell count — when the grid has fewer live cells than
-// workers (a resumed run's tail, a sharded slice, a single big fit),
-// the spare cores speed up the cells that remain.
-func cellParallelism(cfg Config, cells []gridCell) int {
-	if cfg.Parallelism > 0 {
-		return cfg.Parallelism
-	}
-	uncached := 0
-	for _, c := range cells {
-		if c.cached == nil {
-			uncached++
-		}
-	}
-	if uncached >= cfg.Workers {
-		return 1
-	}
-	return cfg.Workers / max(1, uncached)
 }
 
 // generateDataset materializes a dataset spec, retrying transient

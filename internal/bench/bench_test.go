@@ -27,10 +27,20 @@ func tinyConfig() Config {
 	}
 }
 
+// mustRunGrid runs the grid and fails the test on an error.
+func mustRunGrid(tb testing.TB, systems []automl.System, cfg Config) []Record {
+	tb.Helper()
+	records, err := RunGrid(systems, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return records
+}
+
 func TestRunGridCoversCells(t *testing.T) {
 	cfg := tinyConfig()
 	systems := []automl.System{automl.NewCAML(), automl.NewTabPFN()}
-	records := RunGrid(systems, cfg)
+	records := mustRunGrid(t, systems, cfg)
 	if len(records) != 4 { // 2 systems x 2 datasets x 1 budget x 1 seed
 		t.Fatalf("%d records, want 4", len(records))
 	}
@@ -49,7 +59,7 @@ func TestRunGridCoversCells(t *testing.T) {
 
 func TestRunGridSkipsBelowMinBudget(t *testing.T) {
 	cfg := tinyConfig() // 10s budget only
-	records := RunGrid([]automl.System{automl.NewTPOT()}, cfg)
+	records := mustRunGrid(t, []automl.System{automl.NewTPOT()}, cfg)
 	if len(records) != 0 {
 		t.Errorf("TPOT ran below its 1-minute minimum budget: %d records", len(records))
 	}

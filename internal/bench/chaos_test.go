@@ -144,7 +144,7 @@ func chaosExports(t *testing.T, records []Record) (csv, js, svg []byte) {
 // uninterrupted run, at worker counts 1 and 4.
 func TestChaosKillResumeByteIdentical(t *testing.T) {
 	cfg := chaosCfg()
-	want := RunGrid(chaosSystems(), withWorkers(cfg, 1))
+	want := mustRunGrid(t, chaosSystems(), withWorkers(cfg, 1))
 	stalls := 0
 	for _, r := range want {
 		if r.Failure == faults.Stall {
@@ -245,7 +245,7 @@ func TestChaosTornCellIgnoredAndRerun(t *testing.T) {
 	if stats != (RepoStats{Hits: at, Misses: len(refs) - at, Stored: len(refs) - at}) {
 		t.Errorf("resume stats %+v, want %d hits and the torn cell among %d reruns", stats, at, len(refs)-at)
 	}
-	if !reflect.DeepEqual(got, RunGrid(systems, withWorkers(cfg, 1))) {
+	if !reflect.DeepEqual(got, mustRunGrid(t, systems, withWorkers(cfg, 1))) {
 		t.Error("resumed records differ from an uninterrupted run")
 	}
 }
@@ -257,7 +257,7 @@ func TestChaosTornCellIgnoredAndRerun(t *testing.T) {
 func TestWatchdogReclaimsHangCells(t *testing.T) {
 	cfg := chaosCfg()
 	cfg.Faults = faults.Config{HangRate: 1, Seed: 3}
-	want := RunGrid(chaosSystems(), withWorkers(cfg, 1))
+	want := mustRunGrid(t, chaosSystems(), withWorkers(cfg, 1))
 	if n := expectedCells(chaosSystems(), cfg); len(want) != n {
 		t.Fatalf("got %d records, want %d — stalled cells must not shrink the grid", len(want), n)
 	}
@@ -277,7 +277,7 @@ func TestWatchdogReclaimsHangCells(t *testing.T) {
 				r.System, r.Dataset, r.Attempts)
 		}
 	}
-	got := RunGrid(chaosSystems(), withWorkers(cfg, 4))
+	got := mustRunGrid(t, chaosSystems(), withWorkers(cfg, 4))
 	if !reflect.DeepEqual(got, want) {
 		t.Error("stall records differ between worker counts — abandonment leaked real time into the records")
 	}

@@ -31,8 +31,12 @@ type Fig3Result struct {
 
 // Fig3 runs the paper's main grid: every system × budget × dataset × seed
 // on the CPU testbed with one core.
-func Fig3(cfg Config) Fig3Result {
-	return Fig3FromRecords(cfg, RunGrid(DefaultSystems(), cfg))
+func Fig3(cfg Config) (Fig3Result, error) {
+	records, err := RunGrid(DefaultSystems(), cfg)
+	if err != nil {
+		return Fig3Result{}, err
+	}
+	return Fig3FromRecords(cfg, records), nil
 }
 
 // Fig3FromRecords aggregates already-obtained grid records — a live
@@ -140,7 +144,7 @@ type Fig5Result struct {
 
 // Fig5 runs CAML and AutoGluon across core counts (paper: 1, 2, 4, 8) and
 // budgets.
-func Fig5(cfg Config, coreCounts []int) Fig5Result {
+func Fig5(cfg Config, coreCounts []int) (Fig5Result, error) {
 	cfg = cfg.normalized()
 	if len(coreCounts) == 0 {
 		coreCounts = []int{1, 2, 4, 8}
@@ -150,7 +154,10 @@ func Fig5(cfg Config, coreCounts []int) Fig5Result {
 	for _, cores := range coreCounts {
 		c := cfg
 		c.Cores = cores
-		records := RunGrid(systems, c)
+		records, err := RunGrid(systems, c)
+		if err != nil {
+			return Fig5Result{}, err
+		}
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(cores)))
 		for _, s := range Aggregate(records, rng) {
 			res.Cells = append(res.Cells, Fig5Cell{
@@ -172,7 +179,7 @@ func Fig5(cfg Config, coreCounts []int) Fig5Result {
 		}
 		return a.Budget < b.Budget
 	})
-	return res
+	return res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -195,7 +202,7 @@ type Fig6Result struct {
 // Fig6 sweeps CAML's inference-time constraints (paper: 1–3 ms/instance)
 // and AutoGluon's inference-optimized preset against the unconstrained
 // defaults.
-func Fig6(cfg Config, constraints []time.Duration) Fig6Result {
+func Fig6(cfg Config, constraints []time.Duration) (Fig6Result, error) {
 	cfg = cfg.normalized()
 	if len(constraints) == 0 {
 		// The paper sweeps 1-3 ms/instance on full-size datasets; the
@@ -217,7 +224,10 @@ func Fig6(cfg Config, constraints []time.Duration) Fig6Result {
 			Label:  fmt.Sprintf("CAML(c=%s)", limit),
 		})
 	}
-	records := RunGrid(systems, cfg)
+	records, err := RunGrid(systems, cfg)
+	if err != nil {
+		return Fig6Result{}, err
+	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xf166))
 	var res Fig6Result
 	for _, s := range Aggregate(records, rng) {
@@ -228,7 +238,7 @@ func Fig6(cfg Config, constraints []time.Duration) Fig6Result {
 			InferKWhPerInst: s.InferKWhPerInst,
 		})
 	}
-	return res
+	return res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +265,7 @@ type Fig7Result struct {
 
 // Fig7 runs the development-stage optimizer for one budget and evaluates
 // the tuned CAML on the test suite.
-func Fig7(cfg Config, metaOpts metaopt.Options, baseline []CellStats) Fig7Result {
+func Fig7(cfg Config, metaOpts metaopt.Options, baseline []CellStats) (Fig7Result, error) {
 	cfg = cfg.normalized()
 	metaOpts.Budget = nonzeroBudget(metaOpts.Budget, cfg.Budgets)
 	dev, err := metaopt.Optimize(openml.MetaTrainSuite(), metaOpts)
@@ -267,7 +277,10 @@ func Fig7(cfg Config, metaOpts metaopt.Options, baseline []CellStats) Fig7Result
 	tuned := automl.NewTunedCAML(dev.Params)
 	c := cfg
 	c.Budgets = []time.Duration{metaOpts.Budget}
-	records := RunGrid([]automl.System{tuned}, c)
+	records, err := RunGrid([]automl.System{tuned}, c)
+	if err != nil {
+		return Fig7Result{}, err
+	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xf167))
 	res := Fig7Result{
 		Budget:        metaOpts.Budget,
@@ -298,7 +311,7 @@ func Fig7(cfg Config, metaOpts metaopt.Options, baseline []CellStats) Fig7Result
 			}
 		}
 	}
-	return res
+	return res, nil
 }
 
 func nonzeroBudget(b time.Duration, budgets []time.Duration) time.Duration {
@@ -333,7 +346,7 @@ type Table3Result struct {
 // Table3 runs AutoGluon and TabPFN on the T4 testbed with GPU support
 // enabled and disabled (budget 5 min for AutoGluon, as in the paper) and
 // reports the quotients GPU/CPU-only.
-func Table3(cfg Config) Table3Result {
+func Table3(cfg Config) (Table3Result, error) {
 	cfg = cfg.normalized()
 	cfg.Machine = hw.T4Machine()
 	cfg.Budgets = []time.Duration{5 * time.Minute}
@@ -352,8 +365,16 @@ func Table3(cfg Config) Table3Result {
 	gpuCfg.GPUMode = energy.GPUActive
 
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x7ab3))
-	cpuStats := Aggregate(RunGrid(systems, cpuCfg), rng)
-	gpuStats := Aggregate(RunGrid(systems, gpuCfg), rng)
+	cpuRecords, err := RunGrid(systems, cpuCfg)
+	if err != nil {
+		return Table3Result{}, err
+	}
+	gpuRecords, err := RunGrid(systems, gpuCfg)
+	if err != nil {
+		return Table3Result{}, err
+	}
+	cpuStats := Aggregate(cpuRecords, rng)
+	gpuStats := Aggregate(gpuRecords, rng)
 
 	var res Table3Result
 	for _, sys := range systems {
@@ -381,7 +402,7 @@ func Table3(cfg Config) Table3Result {
 			InferTime:   ratio(inferTimeOf(gpu), inferTimeOf(cpu)),
 		})
 	}
-	return res
+	return res, nil
 }
 
 func inferTimeOf(s *CellStats) float64 { return s.InferTimePerInst.Seconds() }
@@ -560,7 +581,7 @@ type SweepResult struct {
 
 // Table8 sweeps the number of representative datasets (paper: 10/20/40)
 // at fixed BO iterations.
-func Table8(cfg Config, metaOpts metaopt.Options, topKs []int) SweepResult {
+func Table8(cfg Config, metaOpts metaopt.Options, topKs []int) (SweepResult, error) {
 	if len(topKs) == 0 {
 		topKs = []int{10, 20, 40}
 	}
@@ -572,7 +593,7 @@ func Table8(cfg Config, metaOpts metaopt.Options, topKs []int) SweepResult {
 
 // Table9 sweeps the BO iteration count (paper: 75/150/300/600) at fixed
 // top-k.
-func Table9(cfg Config, metaOpts metaopt.Options, iterations []int) SweepResult {
+func Table9(cfg Config, metaOpts metaopt.Options, iterations []int) (SweepResult, error) {
 	if len(iterations) == 0 {
 		iterations = []int{75, 150, 300, 600}
 	}
@@ -582,7 +603,7 @@ func Table9(cfg Config, metaOpts metaopt.Options, iterations []int) SweepResult 
 	}, metaOpts)
 }
 
-func devSweep(cfg Config, label string, values []int, apply func(int, metaopt.Options) metaopt.Options, base metaopt.Options) SweepResult {
+func devSweep(cfg Config, label string, values []int, apply func(int, metaopt.Options) metaopt.Options, base metaopt.Options) (SweepResult, error) {
 	cfg = cfg.normalized()
 	res := SweepResult{Label: label}
 	for _, v := range values {
@@ -595,7 +616,10 @@ func devSweep(cfg Config, label string, values []int, apply func(int, metaopt.Op
 		tuned := automl.NewTunedCAML(dev.Params)
 		c := cfg
 		c.Budgets = []time.Duration{opts.Budget}
-		records := RunGrid([]automl.System{tuned}, c)
+		records, err := RunGrid([]automl.System{tuned}, c)
+		if err != nil {
+			return SweepResult{}, err
+		}
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(v)))
 		stats := Aggregate(records, rng)
 		row := SweepRow{Value: v, DevKWh: dev.DevKWh, DevTimeH: dev.DevTime.Hours()}
@@ -604,5 +628,5 @@ func devSweep(cfg Config, label string, values []int, apply func(int, metaopt.Op
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, nil
 }

@@ -14,38 +14,37 @@ import (
 // gridOracleHash is the SHA-256 of the CSV export of the oracle grid
 // below. The grid output — scores, energy, virtual times, evaluation
 // counts — must stay byte-identical across substrate changes at every
-// worker count and every within-cell parallelism level: refactors and
-// kernel rewrites may change how bytes are laid out in memory or which
-// goroutine computes them, never which numbers come out.
+// worker count: refactors and kernel rewrites may change how bytes are
+// laid out in memory or which worker computes a cell, never which
+// numbers come out.
 //
 // Re-pin history (each re-pin is a sanctioned output change, argued in
 // its PR, not a silent drift):
 //   - pre-columnar-Frame refactor: f03c164a55616a918f4122f21af4c624
 //     78315f2c68b61b605dec12d77c0e053. The columnar refactor preserved
 //     it exactly.
-//   - within-cell parallelism (PR 7): forests now pre-split their RNG
-//     stream — the parent rng is consumed up front, one PCG seed pair
-//     per tree in tree order, so each tree owns an independent stream
-//     regardless of which worker fits it when. Trees therefore draw
-//     different (still deterministic) bootstrap samples and feature
-//     subsets than the old shared-stream sequential loop, which moves
-//     forest-backed scores. The new output is byte-identical at
-//     workers {1,4} × parallelism {1,2,4}.
+//   - pre-split forest seeds: forests consume the parent rng up front,
+//     one PCG seed pair per tree in tree order, and each tree draws
+//     from its own stream. Trees therefore draw different (still
+//     deterministic) bootstrap samples and feature subsets than the old
+//     shared-stream loop, which moved forest-backed scores. The split
+//     was introduced for a since-removed within-cell parallelism knob;
+//     the kernels are sequential again and keep the pre-split seeds, so
+//     the hash did not move when the knob went.
 const gridOracleHash = "245df0a3ceb5c07badfec3c58d43e998ec97a8b486c030d85441c6fbf7ed7bcd"
 
-func oracleConfig(workers, parallelism int) Config {
+func oracleConfig(workers int) Config {
 	specs := []openml.Spec{}
 	for _, name := range []string{"credit-g", "phoneme"} {
 		s, _ := openml.ByName(name)
 		specs = append(specs, s)
 	}
 	return Config{
-		Datasets:    specs,
-		Budgets:     []time.Duration{10 * time.Second, time.Minute},
-		Seeds:       2,
-		Scale:       openml.SmallScale(),
-		Workers:     workers,
-		Parallelism: parallelism,
+		Datasets: specs,
+		Budgets:  []time.Duration{10 * time.Second, time.Minute},
+		Seeds:    2,
+		Scale:    openml.SmallScale(),
+		Workers:  workers,
 	}
 }
 
@@ -61,9 +60,9 @@ func oracleSystems() []automl.System {
 	}
 }
 
-func gridDigest(t *testing.T, workers, parallelism int) string {
+func gridDigest(t *testing.T, workers int) string {
 	t.Helper()
-	records := RunGrid(oracleSystems(), oracleConfig(workers, parallelism))
+	records := mustRunGrid(t, oracleSystems(), oracleConfig(workers))
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, records); err != nil {
 		t.Fatalf("exporting oracle grid: %v", err)
@@ -73,18 +72,14 @@ func gridDigest(t *testing.T, workers, parallelism int) string {
 }
 
 // TestGridOracleByteIdentical pins the full grid export to the oracle
-// hash across the cross-cell worker count and the within-cell kernel
-// parallelism level.
+// hash at one worker and at four.
 func TestGridOracleByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid oracle is slow; run without -short")
 	}
 	for _, workers := range []int{1, 4} {
-		for _, parallelism := range []int{1, 4} {
-			if got := gridDigest(t, workers, parallelism); got != gridOracleHash {
-				t.Errorf("grid export hash at workers=%d parallelism=%d = %s, want %s",
-					workers, parallelism, got, gridOracleHash)
-			}
+		if got := gridDigest(t, workers); got != gridOracleHash {
+			t.Errorf("grid export hash at workers=%d = %s, want %s", workers, got, gridOracleHash)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func reopen(t *testing.T, rp *repo.Repository, opts repo.Options) *repo.Reposito
 func TestMergeDeterminismProperty(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
@@ -95,7 +95,7 @@ func TestMergeDeterminismProperty(t *testing.T) {
 func TestMergeToleratesOverlapAcrossShardCounts(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
 
@@ -244,7 +244,7 @@ func TestMergeReportsMissingCellsAsShardFailures(t *testing.T) {
 func TestMergeCountsDamage(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
 

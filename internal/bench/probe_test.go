@@ -28,7 +28,10 @@ func TestFig3Probe(t *testing.T) {
 	}
 	//greenlint:allow wallclock development probe logging real elapsed time, not a measured quantity
 	start := time.Now()
-	res := Fig3(cfg)
+	res, err := Fig3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	//greenlint:allow wallclock development probe logging real elapsed time, not a measured quantity
 	t.Logf("wall time: %s for %d records", time.Since(start), len(res.Records))
 	t.Log("\n" + res.Render())

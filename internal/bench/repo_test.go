@@ -13,6 +13,22 @@ import (
 	"repro/internal/repo"
 )
 
+// TestRepoDamageFailsExperiment: an experiment that reruns a grid
+// against a store holding a damaged cell returns the store's refusal
+// instead of aggregating whatever cells the grid still produced.
+func TestRepoDamageFailsExperiment(t *testing.T) {
+	rp := openTestRepo(t, repo.Options{})
+	cfg := tinyConfig()
+	cfg.Repo = rp
+	if _, err := Fig5(cfg, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	corruptOneCell(t, rp.Dir())
+	if _, err := Fig5(cfg, []int{1}); !errors.Is(err, repo.ErrDamaged) {
+		t.Fatalf("Fig5 over a damaged store returned %v, want repo.ErrDamaged", err)
+	}
+}
+
 // repoLineup is the lineup the repository property tests run: two cheap
 // searchers plus the zero-shot portfolio system the store enables.
 func repoLineup() []automl.System {

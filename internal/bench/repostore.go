@@ -31,9 +31,8 @@ func cellID(system, dataset string, budget time.Duration, seed uint64) string {
 // system lineup, datasets, budgets, seeds, scale, machine, fault and
 // retry configuration — so a store only ever replays cells into the
 // exact grid that produced them. Pure throughput and liveness knobs
-// (Workers, Parallelism, Watchdog) are deliberately excluded: the
-// kernels are bit-identical at every within-cell parallelism level, so
-// none of them can change a record.
+// (Workers, Watchdog) are deliberately excluded: neither can change a
+// record.
 func Fingerprint(systems []automl.System, cfg Config) string {
 	cfg = cfg.normalized()
 	h := fnv.New64a()

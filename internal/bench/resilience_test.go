@@ -39,8 +39,8 @@ func expectedCells(systems []automl.System, cfg Config) int {
 
 func TestFaultGridDeterministic(t *testing.T) {
 	cfg := faultCfg(0.4, 7)
-	a := RunGrid(DefaultSystems(), cfg)
-	b := RunGrid(DefaultSystems(), cfg)
+	a := mustRunGrid(t, DefaultSystems(), cfg)
+	b := mustRunGrid(t, DefaultSystems(), cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same fault seed produced different records")
 	}
@@ -74,7 +74,7 @@ func TestFaultGridDeterministic(t *testing.T) {
 func TestInjectedFaultsNeverAbortGrid(t *testing.T) {
 	cfg := faultCfg(0.85, 24)
 	cfg.Retry.MaxAttempts = 4
-	records := RunGrid(DefaultSystems(), cfg)
+	records := mustRunGrid(t, DefaultSystems(), cfg)
 	if want := expectedCells(DefaultSystems(), cfg); len(records) != want {
 		t.Fatalf("got %d records, want %d — failed cells must not shrink the grid", len(records), want)
 	}
@@ -108,12 +108,12 @@ func TestInjectedFaultsNeverAbortGrid(t *testing.T) {
 func TestRetrySuccessChargesEnergy(t *testing.T) {
 	cfg := faultCfg(0, 0)
 	clean := make(map[string]Record)
-	for _, r := range RunGrid(DefaultSystems(), cfg) {
+	for _, r := range mustRunGrid(t, DefaultSystems(), cfg) {
 		clean[cellID(r.System, r.Dataset, r.Budget, r.Seed)] = r
 	}
 
 	for seed := uint64(1); seed <= 10; seed++ {
-		for _, r := range RunGrid(DefaultSystems(), faultCfg(0.5, seed)) {
+		for _, r := range mustRunGrid(t, DefaultSystems(), faultCfg(0.5, seed)) {
 			if r.Attempts <= 1 || r.Failure != faults.None || r.Fallback {
 				continue
 			}
@@ -137,7 +137,7 @@ func TestRetrySuccessChargesEnergy(t *testing.T) {
 func TestOOMInjectionDegradesToFallback(t *testing.T) {
 	cfg := faultCfg(0, 0)
 	cfg.Faults.MemoryBytes = 1 // every working set exceeds one byte
-	records := RunGrid(DefaultSystems(), cfg)
+	records := mustRunGrid(t, DefaultSystems(), cfg)
 	if want := expectedCells(DefaultSystems(), cfg); len(records) != want {
 		t.Fatalf("got %d records, want %d", len(records), want)
 	}
@@ -200,7 +200,7 @@ func TestPredictFaultKeepsExecMeasurements(t *testing.T) {
 func TestDatasetFaultAccountsDependentCells(t *testing.T) {
 	cfg := faultCfg(1, 5)
 	cfg.Retry.MaxAttempts = 2
-	records := RunGrid(DefaultSystems(), cfg)
+	records := mustRunGrid(t, DefaultSystems(), cfg)
 	if want := expectedCells(DefaultSystems(), cfg); len(records) != want {
 		t.Fatalf("got %d records, want %d", len(records), want)
 	}

@@ -61,7 +61,7 @@ func cutStore(t *testing.T, rp *repo.Repository, fingerprint string, keep int) i
 // run's records, and a second run replays all of them from the store.
 func TestResumableMatchesPlainRun(t *testing.T) {
 	cfg := withStore(faultCfg(0.3, 4), openTestRepo(t, repo.Options{}))
-	want := RunGrid(DefaultSystems(), faultCfg(0.3, 4))
+	want := mustRunGrid(t, DefaultSystems(), faultCfg(0.3, 4))
 	got, err := RunShard(DefaultSystems(), cfg, "")
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestStoreIsolatesOtherGrid(t *testing.T) {
 		t.Errorf("a different grid replayed cells of the stored one: %+v", stats)
 	}
 	other.Repo = nil
-	if !reflect.DeepEqual(got, RunGrid(DefaultSystems(), other)) {
+	if !reflect.DeepEqual(got, mustRunGrid(t, DefaultSystems(), other)) {
 		t.Error("the other grid's records differ from a plain run of it")
 	}
 	if fps, err := rp.Fingerprints(); err != nil || len(fps) != 2 {

@@ -44,7 +44,7 @@ type gridCell struct {
 // does not depend on the cell's own execution. Every RNG stream involved
 // derives from cell identity (dataset index, seed index, base seed) —
 // never from execution order — which is what lets the cells run in any
-// order, on any number of workers, and still reproduce the serial grid
+// order, on any number of workers, and still reproduce the one-worker grid
 // exactly.
 //
 // With cfg.Shard set, only the cells the shard owns are enumerated.
@@ -211,35 +211,18 @@ func runCellTask(c gridCell, cfg Config, inj *faults.Injector) (Record, *cellPay
 	return runCell(c.sys, c.train, c.test, c.budget, cfg, c.cellSeed, inj)
 }
 
-// runGridSerial executes the cells one by one in grid order — the
-// historical execution mode, kept as the Workers == 1 path. A store
-// failure returns the records completed so far alongside the error.
-func runGridSerial(cells []gridCell, cfg Config, inj *faults.Injector, st *cellStore) ([]Record, error) {
-	records := make([]Record, 0, len(cells))
-	for _, c := range cells {
-		if c.cached != nil {
-			records = append(records, *c.cached)
-			continue
-		}
-		rec, payload := runCellTask(c, cfg, inj)
-		if err := st.put(c.id, rec, payload); err != nil {
-			return records, err
-		}
-		records = append(records, rec)
-	}
-	return records, nil
-}
-
-// runGridParallel executes the cells on a bounded worker pool. Each cell
-// is independent — its RNG streams derive from cell identity, its meters
-// are private, the shared datasets are read-only and the fault injector
-// is pure — so workers need no coordination: each writes its own cell
-// file. Results land in a slice indexed by enumeration order, which
-// makes the returned records (and therefore every export and figure)
-// byte-identical to a serial run at any worker count; only the order
-// in which cells reach the store varies, and replay looks cells up by
-// identity, not by write order.
-func runGridParallel(cells []gridCell, cfg Config, inj *faults.Injector, st *cellStore) ([]Record, error) {
+// runCells executes the cells on a bounded worker pool — the grid's
+// only concurrency: every kernel inside a cell runs sequentially. Each
+// cell is independent — its RNG streams derive from cell identity, its
+// meters are private, the shared datasets are read-only and the fault
+// injector is pure — so workers need no coordination: each writes its
+// own cell file. Results land in a slice indexed by enumeration order,
+// which makes the returned records (and therefore every export and
+// figure) byte-identical at any worker count, one included; only the
+// order in which cells reach the store varies, and replay looks cells
+// up by identity, not by write order. A store failure drains the pool
+// and returns no records.
+func runCells(cells []gridCell, cfg Config, inj *faults.Injector, st *cellStore) ([]Record, error) {
 	records := make([]Record, len(cells))
 	work := make(chan int)
 	var (

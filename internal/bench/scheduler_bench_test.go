@@ -27,7 +27,7 @@ func benchmarkRunGrid(b *testing.B, workers int) {
 	cfg := benchGridCfg(workers)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		records := RunGrid(systems, cfg)
+		records := mustRunGrid(b, systems, cfg)
 		if len(records) == 0 {
 			b.Fatal("empty grid")
 		}
@@ -53,7 +53,7 @@ func BenchmarkSweepEndToEnd(b *testing.B) {
 	cfg := benchGridCfg(0) // default worker pool
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		records := RunGrid(systems, cfg)
+		records := mustRunGrid(b, systems, cfg)
 		stats := Aggregate(records, rand.New(rand.NewPCG(1, 2)))
 		if len(stats) == 0 {
 			b.Fatal("empty aggregation")

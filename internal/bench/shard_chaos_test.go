@@ -189,7 +189,7 @@ func TestShardSubprocessSIGKILLResumeByteIdentical(t *testing.T) {
 	}
 	cfg := mergeCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
@@ -273,7 +273,7 @@ func TestCoordinatorKillRestartMergeMatrix(t *testing.T) {
 	}
 	cfg := mergeCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
@@ -341,7 +341,7 @@ func TestCoordinatorDeadlineReclaimsStraggler(t *testing.T) {
 	}
 	cfg := mergeCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 
 	counter := newLaunchCounter()
 	rp := openTestRepo(t, repo.Options{})

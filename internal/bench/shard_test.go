@@ -135,7 +135,7 @@ func TestEnumerateCellRefsMatchesGridOrder(t *testing.T) {
 	cfg := chaosCfg()
 	cfg.Faults.HangRate = 0 // keep the oracle run fast
 	systems := chaosSystems()
-	records := RunGrid(systems, withWorkers(cfg, 1))
+	records := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	refs := EnumerateCellRefs(systems, cfg)
 	if len(refs) != len(records) {
 		t.Fatalf("EnumerateCellRefs yields %d cells, grid ran %d", len(refs), len(records))
@@ -157,7 +157,7 @@ func TestEnumerateCellRefsMatchesGridOrder(t *testing.T) {
 func TestRunShardMergeByteIdenticalMatrix(t *testing.T) {
 	cfg := chaosCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
@@ -206,7 +206,7 @@ func TestRunShardMergeByteIdenticalMatrix(t *testing.T) {
 func TestShardRecordsAreGridSubsequence(t *testing.T) {
 	cfg := chaosCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	fingerprint := Fingerprint(systems, cfg)
 	spec := ShardSpec{Index: 1, Count: 2}
 
@@ -237,7 +237,7 @@ func TestShardRecordsAreGridSubsequence(t *testing.T) {
 func TestShardStoreResumesAcrossAssignments(t *testing.T) {
 	cfg := mergeCfg()
 	systems := chaosSystems()
-	want := RunGrid(systems, withWorkers(cfg, 1))
+	want := mustRunGrid(t, systems, withWorkers(cfg, 1))
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)

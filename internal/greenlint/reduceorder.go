@@ -7,15 +7,13 @@ import (
 	"strings"
 )
 
-// ReduceOrder guards the within-cell parallelism determinism bar. The
-// ml kernels promise bit-identical probabilities, Costs and grid
-// exports at every parallelism level; that holds only under the
-// sanctioned reduction orders (internal/ml/parallel.go): goroutines
-// write item-addressed slots or worker-local scratch, and cross-slot
-// reduction happens on the calling goroutine in slot-index order. The
-// classic way to break it is an innocent `sum += x` from a worker —
-// float addition is not associative, so the accumulation order (and
-// the output bits) would depend on goroutine scheduling. The check
+// ReduceOrder guards the kernels' determinism bar. The ml kernels
+// promise bit-identical probabilities, Costs and grid exports, and they
+// run sequentially so every float reduction has one fixed order; the
+// grid's worker pool is the only concurrency in a grid run. The classic
+// way to break that is an innocent `sum += x` from a goroutine — float
+// addition is not associative, so the accumulation order (and the
+// output bits) would depend on goroutine scheduling. The check
 // therefore flags, inside internal/ml:
 //
 //   - every `go` statement, and

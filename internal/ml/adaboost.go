@@ -131,9 +131,7 @@ func (a *AdaBoost) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 }
 
 // PredictProba implements Classifier: alpha-weighted votes normalized
-// to probabilities. Stumps predict in parallel into stump-indexed
-// slots; votes reduce on the caller in stump order, so the float
-// accumulation sequence matches the sequential loop exactly.
+// to probabilities, accumulated in stump order.
 func (a *AdaBoost) PredictProba(x tabular.View) ([][]float64, Cost) {
 	m := x.Rows()
 	if len(a.stumps) == 0 {
@@ -144,14 +142,10 @@ func (a *AdaBoost) PredictProba(x tabular.View) ([][]float64, Cost) {
 	for i := range out {
 		out[i] = make([]float64, a.classes)
 	}
-	preds := make([][]int, len(a.stumps))
-	stumpCosts := make([]Cost, len(a.stumps))
-	runIndexed(len(a.stumps), func(_, s int) {
-		preds[s], stumpCosts[s] = Predict(a.stumps[s], x)
-	})
-	for s := range a.stumps {
-		cost.Add(stumpCosts[s])
-		for i, yhat := range preds[s] {
+	for s, stump := range a.stumps {
+		pred, c := Predict(stump, x)
+		cost.Add(c)
+		for i, yhat := range pred {
 			out[i][yhat] += a.alphas[s]
 		}
 	}

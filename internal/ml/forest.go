@@ -45,13 +45,10 @@ func NewForestClassifier(p ForestParams) *ForestClassifier {
 	return &ForestClassifier{Params: p}
 }
 
-// Fit implements Classifier. Trees fit in parallel under the package
-// Parallelism knob with pre-split RNG streams: the parent stream is
-// consumed sequentially up front — one PCG seed pair per tree, in tree
-// order — so each tree owns an independent deterministic stream
-// regardless of which worker fits it when, and results reduce from
-// tree-indexed slots in tree order. Outputs are therefore bit-identical
-// at every parallelism level.
+// Fit implements Classifier. The parent stream is consumed up front —
+// one PCG seed pair per tree, in tree order — and each tree then draws
+// its bootstrap sample and feature subsets from its own stream. The
+// grid oracle pins these pre-split seeds.
 func (f *ForestClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 	p := f.Params.normalized(ds.Features())
 	f.classes = ds.Classes()
@@ -60,51 +57,41 @@ func (f *ForestClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 	for i := range seeds {
 		seeds[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
 	}
-	trees := make([]*TreeClassifier, p.Trees)
-	costs := make([]Cost, p.Trees)
-	errs := make([]error, p.Trees)
-	// Per-worker bootstrap index buffers (same draws as View.Bootstrap):
-	// the tree kernel gathers the view into its column cache, so a
-	// worker can overwrite its buffer for its next tree.
-	bootBufs := make([][]int, Parallelism())
-	runIndexed(p.Trees, func(w, i int) {
-		trng := rand.New(rand.NewPCG(seeds[i][0], seeds[i][1]))
+	// One bootstrap index buffer (same draws as View.Bootstrap) serves
+	// every tree: the tree kernel gathers the view into its column
+	// cache, so the next tree may overwrite it.
+	var bootIdx []int
+	if p.Bootstrap {
+		bootIdx = make([]int, n)
+	}
+	var cost Cost
+	f.trees = f.trees[:0]
+	for i, seed := range seeds {
+		trng := rand.New(rand.NewPCG(seed[0], seed[1]))
 		tree := NewTreeClassifier(p.Tree)
 		data := ds
+		var treeCost Cost
 		if p.Bootstrap {
-			bootIdx := bootBufs[w]
-			if bootIdx == nil {
-				bootIdx = make([]int, n)
-				bootBufs[w] = bootIdx
-			}
 			for j := range bootIdx {
 				bootIdx[j] = ds.RowIndex(trng.IntN(n))
 			}
-			costs[i].Generic += float64(n)
+			treeCost.Generic += float64(n)
 			data = tabular.NewView(ds.Frame(), bootIdx)
 		}
 		c, err := tree.Fit(data, trng)
-		costs[i].Add(c)
-		trees[i], errs[i] = tree, err
-	})
-	// Fixed reduction in tree order; the first error wins, counting only
-	// the cost of the trees before it (the historical early-stop shape).
-	var cost Cost
-	f.trees = f.trees[:0]
-	for i := 0; i < p.Trees; i++ {
-		if errs[i] != nil {
-			return cost, fmt.Errorf("ml: forest tree %d: %w", i, errs[i])
+		treeCost.Add(c)
+		if err != nil {
+			// The first error wins, counting only the trees before it.
+			return cost, fmt.Errorf("ml: forest tree %d: %w", i, err)
 		}
-		cost.Add(costs[i])
-		f.trees = append(f.trees, trees[i])
+		cost.Add(treeCost)
+		f.trees = append(f.trees, tree)
 	}
 	return cost, nil
 }
 
 // PredictProba implements Classifier by averaging tree leaf
-// distributions. Trees predict in parallel into tree-indexed slots;
-// the average reduces on the caller in tree order, so the float
-// accumulation sequence matches the sequential loop exactly.
+// distributions, accumulated in tree order.
 func (f *ForestClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 	if len(f.trees) == 0 {
 		return uniformProba(x.Rows(), max(f.classes, 2)), Cost{}
@@ -114,14 +101,10 @@ func (f *ForestClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 	for i := range out {
 		out[i] = make([]float64, f.classes)
 	}
-	probas := make([][][]float64, len(f.trees))
-	treeCosts := make([]Cost, len(f.trees))
-	runIndexed(len(f.trees), func(_, t int) {
-		probas[t], treeCosts[t] = f.trees[t].PredictProba(x)
-	})
-	for t := range f.trees {
-		cost.Add(treeCosts[t])
-		for i, row := range probas[t] {
+	for _, tree := range f.trees {
+		proba, c := tree.PredictProba(x)
+		cost.Add(c)
+		for i, row := range proba {
 			for j, p := range row {
 				out[i][j] += p
 			}
@@ -173,8 +156,7 @@ func NewForestRegressor(p ForestParams) *ForestRegressor {
 	return &ForestRegressor{Params: p}
 }
 
-// FitReg implements Regressor. Trees fit in parallel with pre-split
-// RNG streams and tree-order reduction, exactly like
+// FitReg implements Regressor with the pre-split per-tree streams of
 // ForestClassifier.Fit.
 func (f *ForestRegressor) FitReg(x tabular.View, y []float64, rng *rand.Rand) (Cost, error) {
 	n := x.Rows()
@@ -186,47 +168,37 @@ func (f *ForestRegressor) FitReg(x tabular.View, y []float64, rng *rand.Rand) (C
 	for i := range seeds {
 		seeds[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
 	}
-	trees := make([]*TreeRegressor, p.Trees)
-	costs := make([]Cost, p.Trees)
-	errs := make([]error, p.Trees)
-	// Per-worker bootstrap resample buffers: the tree kernel gathers
-	// what it needs into its column cache, so a worker can overwrite
-	// its buffers for its next tree.
-	type bootBuf struct {
-		idx []int
-		y   []float64
+	// One bootstrap resample buffer pair serves every tree: the tree
+	// kernel gathers what it needs into its column cache.
+	var bootIdx []int
+	var bootY []float64
+	if p.Bootstrap {
+		bootIdx, bootY = make([]int, n), make([]float64, len(y))
 	}
-	bootBufs := make([]*bootBuf, Parallelism())
-	runIndexed(p.Trees, func(w, i int) {
-		trng := rand.New(rand.NewPCG(seeds[i][0], seeds[i][1]))
-		tree := NewTreeRegressor(p.Tree)
-		xs, ys := x, y
-		if p.Bootstrap {
-			bb := bootBufs[w]
-			if bb == nil {
-				bb = &bootBuf{idx: make([]int, n), y: make([]float64, len(y))}
-				bootBufs[w] = bb
-			}
-			for j := range bb.idx {
-				r := trng.IntN(n)
-				bb.idx[j] = x.RowIndex(r)
-				bb.y[j] = y[r]
-			}
-			costs[i].Generic += float64(n)
-			xs, ys = tabular.NewView(x.Frame(), bb.idx), bb.y
-		}
-		c, err := tree.FitReg(xs, ys, trng)
-		costs[i].Add(c)
-		trees[i], errs[i] = tree, err
-	})
 	var cost Cost
 	f.trees = f.trees[:0]
-	for i := 0; i < p.Trees; i++ {
-		if errs[i] != nil {
-			return cost, fmt.Errorf("ml: forest regressor tree %d: %w", i, errs[i])
+	for i, seed := range seeds {
+		trng := rand.New(rand.NewPCG(seed[0], seed[1]))
+		tree := NewTreeRegressor(p.Tree)
+		xs, ys := x, y
+		var treeCost Cost
+		if p.Bootstrap {
+			for j := range bootIdx {
+				r := trng.IntN(n)
+				bootIdx[j] = x.RowIndex(r)
+				bootY[j] = y[r]
+			}
+			treeCost.Generic += float64(n)
+			xs, ys = tabular.NewView(x.Frame(), bootIdx), bootY
 		}
-		cost.Add(costs[i])
-		f.trees = append(f.trees, trees[i])
+		c, err := tree.FitReg(xs, ys, trng)
+		treeCost.Add(c)
+		if err != nil {
+			// The first error wins, counting only the trees before it.
+			return cost, fmt.Errorf("ml: forest regressor tree %d: %w", i, err)
+		}
+		cost.Add(treeCost)
+		f.trees = append(f.trees, tree)
 	}
 	return cost, nil
 }

@@ -55,9 +55,7 @@ func (p HistBoostingParams) normalized() HistBoostingParams {
 // gathers the node's gradients once and then accumulates gradient and
 // hessian-weight histograms in a fused, 8-wide unrolled pass per column
 // with uint8-indexed fixed-size histogram arrays (no bounds checks on the
-// accumulate), and the per-column scans of one node run in parallel under
-// the package Parallelism knob with per-feature results reduced in
-// feature order — bit-identical to the sequential scan at any level.
+// accumulate).
 type HistBoosting struct {
 	Params  HistBoostingParams
 	classes int
@@ -80,20 +78,6 @@ type histNode struct {
 	value       float64
 }
 
-// histWorker is one worker's private histogram scratch. The histogram
-// arrays are fixed [256]float64 so the accumulation loop indexes them
-// with a uint8 bin — provably in bounds, so the compiler drops the
-// bounds checks; only the leading Bins entries are ever cleared or read.
-type histWorker struct {
-	histSum  [256]float64 // per-bin gradient (residual) sums
-	histCnt  [256]int32   // per-bin hessian weights (counts, for L2 loss)
-	histSum2 [256]float64 // second feature of a paired scan
-	histCnt2 [256]int32
-	colBuf   []float64 // per-worker column gather for subset views
-	sortBuf  []float64 // per-worker quantile sort scratch
-	posBuf   []int     // per-worker quantile position scratch
-}
-
 // histScratch is the pooled working memory of one HistBoosting.Fit.
 type histScratch struct {
 	n, d int
@@ -111,12 +95,17 @@ type histScratch struct {
 	residual []float64
 	logits   []float64
 	labBuf   []int
-	// featGain/featBin are the per-feature split-search result slots the
-	// parallel column scans write and the caller reduces in feature
-	// order.
-	featGain []float64
-	featBin  []int32
-	workers  []*histWorker
+	colBuf   []float64 // column gather for subset views
+	sortBuf  []float64 // quantile sort scratch
+	posBuf   []int     // quantile position scratch
+	// The histogram arrays are fixed [256] so the accumulation loop
+	// indexes them with a uint8 bin — provably in bounds, so the
+	// compiler drops the bounds checks; only the leading Bins entries
+	// are ever cleared or read.
+	histSum  [256]float64 // per-bin gradient (residual) sums
+	histCnt  [256]int32   // per-bin hessian weights (counts, for L2 loss)
+	histSum2 [256]float64 // second feature of a paired scan
+	histCnt2 [256]int32
 }
 
 var histScratchPool = sync.Pool{New: func() any { return new(histScratch) }}
@@ -133,22 +122,8 @@ func getHistScratch(n, d, k int) *histScratch {
 	s.logits = sizedF64(s.logits, n*k)
 	clear(s.logits) // recycled scratch carries the previous fit's logits
 	s.labBuf = sizedInt(s.labBuf, n)
-	s.featGain = sizedF64(s.featGain, d)
-	s.featBin = sizedI32(s.featBin, d)
-	workers := Parallelism()
-	if workers > d {
-		workers = d
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for len(s.workers) < workers {
-		s.workers = append(s.workers, new(histWorker))
-	}
-	for _, w := range s.workers {
-		w.colBuf = sizedF64(w.colBuf, n)
-		w.sortBuf = sizedF64(w.sortBuf, n)
-	}
+	s.colBuf = sizedF64(s.colBuf, n)
+	s.sortBuf = sizedF64(s.sortBuf, n)
 	return s
 }
 
@@ -160,13 +135,6 @@ func sizedU8(buf []uint8, n int) []uint8 {
 	}
 	return buf[:n]
 }
-
-// histParallelCutoff gates per-column parallelism by node work (rows ×
-// features): below it, goroutine handoff costs more than the scan. The
-// cutoff only decides who executes the per-feature scans — their
-// results land in per-feature slots either way — so it cannot affect
-// outputs.
-const histParallelCutoff = 1 << 14
 
 // NewHistBoosting constructs a histogram gradient-boosting classifier.
 func NewHistBoosting(p HistBoostingParams) *HistBoosting { return &HistBoosting{Params: p} }
@@ -188,14 +156,11 @@ func (h *HistBoosting) Fit(ds tabular.View, _ *rand.Rand) (Cost, error) {
 
 	// Quantize features once: thresholds at uniform quantiles. The
 	// binned matrix is column-major (one []uint8 per feature) so the
-	// per-node histogram scans below walk memory sequentially. Columns
-	// quantize independently — each worker sorts into its own scratch
-	// and writes only its feature's threshold slot and bin column.
+	// per-node histogram scans below walk memory sequentially.
 	h.thresholds = make([][]float64, d) //greenlint:allow rowmajor per-feature bin thresholds, bin-wide not row-wide
-	runIndexed(d, func(w, j int) {
-		ws := s.workers[w]
-		col := ds.ColInto(j, ws.colBuf)
-		sorted := ws.sortBuf[:n]
+	for j := 0; j < d; j++ {
+		col := ds.ColInto(j, s.colBuf)
+		sorted := s.sortBuf[:n]
 		hasNaN := false
 		for i, v := range col {
 			sorted[i] = v
@@ -203,7 +168,7 @@ func (h *HistBoosting) Fit(ds tabular.View, _ *rand.Rand) (Cost, error) {
 				hasNaN = true
 			}
 		}
-		pos := ws.posBuf[:0]
+		pos := s.posBuf[:0]
 		for b := 1; b < p.Bins; b++ {
 			q := b * n / p.Bins
 			if q >= n {
@@ -213,7 +178,7 @@ func (h *HistBoosting) Fit(ds tabular.View, _ *rand.Rand) (Cost, error) {
 				pos = append(pos, q)
 			}
 		}
-		ws.posBuf = pos
+		s.posBuf = pos
 		if hasNaN {
 			// NaN ordering is sort-algorithm-specific; keep the exact
 			// legacy arrangement rather than select's.
@@ -237,7 +202,7 @@ func (h *HistBoosting) Fit(ds tabular.View, _ *rand.Rand) (Cost, error) {
 		for i, v := range col {
 			bcol[i] = binIndex(edges, v)
 		}
-	})
+	}
 	cost.Generic += float64(n*d) * (math.Log2(float64(n)+2) + 2)
 
 	logits := s.logits[:n*k]
@@ -251,37 +216,33 @@ func (h *HistBoosting) Fit(ds tabular.View, _ *rand.Rand) (Cost, error) {
 			// Fused gradient pass: residual[i] = 1{y=c} − softmax_c of
 			// row i's logits, computed directly (only class c's
 			// probability is needed) with the exact float sequence of
-			// the historical copy-softmax-index path. Rows are
-			// independent — disjoint residual slots — so blocks run in
-			// parallel.
-			runRowBlocks(n, func(_, _, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					lrow := logits[i*k : i*k+k : i*k+k]
-					maxv := math.Inf(-1)
-					for _, x := range lrow {
-						if x > maxv {
-							maxv = x
-						}
+			// the historical copy-softmax-index path.
+			for i := 0; i < n; i++ {
+				lrow := logits[i*k : i*k+k : i*k+k]
+				maxv := math.Inf(-1)
+				for _, x := range lrow {
+					if x > maxv {
+						maxv = x
 					}
-					var sum, ec float64
-					for j, x := range lrow {
-						e := math.Exp(x - maxv)
-						if j == c {
-							ec = e
-						}
-						sum += e
-					}
-					pc := ec / sum
-					if sum <= 0 {
-						pc = 1 / float64(k)
-					}
-					indicator := 0.0
-					if labels[i] == c {
-						indicator = 1.0
-					}
-					residual[i] = indicator - pc
 				}
-			})
+				var sum, ec float64
+				for j, x := range lrow {
+					e := math.Exp(x - maxv)
+					if j == c {
+						ec = e
+					}
+					sum += e
+				}
+				pc := ec / sum
+				if sum <= 0 {
+					pc = 1 / float64(k)
+				}
+				indicator := 0.0
+				if labels[i] == c {
+					indicator = 1.0
+				}
+				residual[i] = indicator - pc
+			}
 			for i := range s.idx {
 				s.idx[i] = int32(i)
 			}
@@ -395,14 +356,13 @@ func binIndex(edges []float64, v float64) uint8 {
 
 // buildTree grows a depth-limited regression tree over the index range
 // s.idx[lo:hi) and returns the arena index of its root. The node's
-// gradients are gathered once into node order (s.tgt), then every
-// feature's fused gradient/hessian histogram build and split scan runs
-// independently — in parallel for large nodes — writing its best
-// (gain, bin) into per-feature slots that reduce in ascending feature
-// order, reproducing the sequential scan's argmax and tie-breaks
-// exactly. Leaves apply their contribution to the shared logits
-// directly (one add per owned row, replacing the historical per-row
-// tree walk with identical arithmetic).
+// gradients are gathered once into node order (s.tgt), then each
+// feature's fused gradient/hessian histogram build and split scan
+// yields its best (gain, bin), kept in ascending feature order with
+// strict > — the argmax and tie-breaks of the historical lexicographic
+// scan. Leaves apply their contribution to the shared logits directly
+// (one add per owned row, replacing the historical per-row tree walk
+// with identical arithmetic).
 func (h *HistBoosting) buildTree(s *histScratch, logits []float64, class int, lo, hi int32, depth int, sum float64, cost *Cost) int32 {
 	idx := s.idx[lo:hi]
 	m := len(idx)
@@ -416,29 +376,24 @@ func (h *HistBoosting) buildTree(s *histScratch, logits []float64, class int, lo
 
 	d := s.d
 	bins := p.Bins
-	// Features scan in pairs (odd d leaves a single tail feature). The
-	// pairing and the parallel/sequential choice only decide who runs
-	// which scan — results land in per-feature slots either way.
-	pairs := d / 2
-	items := pairs + d%2
-	if m*d >= histParallelCutoff {
-		runIndexed(items, func(w, q int) { s.scanItem(w, q, pairs, bins, idx, tgt, sum) })
-	} else {
-		for q := 0; q < items; q++ {
-			s.scanItem(0, q, pairs, bins, idx, tgt, sum)
+	// Features scan in pairs; odd d leaves a single tail feature.
+	bestGain := 1e-9
+	bestFeature, bestBin := -1, int32(-1)
+	for j := 0; j < d; j += 2 {
+		gains, cuts := [2]float64{}, [2]int32{-1, -1}
+		if j+1 < d {
+			gains[0], cuts[0], gains[1], cuts[1] = s.scanPair(j, bins, idx, tgt, sum)
+		} else {
+			gains[0], cuts[0] = s.scanOne(j, bins, idx, tgt, sum)
+		}
+		for q, cut := range cuts {
+			if cut >= 0 && gains[q] > bestGain {
+				bestGain, bestFeature, bestBin = gains[q], j+q, cut
+			}
 		}
 	}
 	cost.Tree += float64(d) * (float64(m) + float64(bins))
 
-	// Fixed reduction: ascending feature order with strict >, so the
-	// chosen (feature, bin) matches the sequential lexicographic scan.
-	bestGain := 1e-9
-	bestFeature, bestBin := -1, int32(-1)
-	for j := 0; j < d; j++ {
-		if s.featBin[j] >= 0 && s.featGain[j] > bestGain {
-			bestGain, bestFeature, bestBin = s.featGain[j], j, s.featBin[j]
-		}
-	}
 	if bestFeature < 0 {
 		h.applyLeaf(logits, idx, class, node.value)
 		return h.pushHist(node)
@@ -477,28 +432,17 @@ func (h *HistBoosting) buildTree(s *histScratch, logits []float64, class int, lo
 	return self
 }
 
-// scanItem dispatches one work item of a node's split search: a pair
-// of features, or the odd tail feature.
-//
-//greenlint:hotpath split-search scan; all histogram state lives in preallocated worker scratch
-func (s *histScratch) scanItem(w, q, pairs, bins int, idx []int32, tgt []float64, sum float64) {
-	if j0 := 2 * q; q < pairs {
-		s.scanPair(w, j0, bins, idx, tgt, sum)
-	} else {
-		s.scanOne(w, j0, bins, idx, tgt, sum)
-	}
-}
-
 // scanOne is the single-feature histogram pass: fused gradient and
 // hessian-weight accumulation, 8-wide unrolled, uint8 bins indexing the
 // fixed arrays without bounds checks and full-capacity sub-slices
 // lifting the checks off the unrolled loads. Per-bin addition order
 // stays ascending node order, exactly as the rolled loop.
-func (s *histScratch) scanOne(w, j, bins int, idx []int32, tgt []float64, sum float64) {
+//
+//greenlint:hotpath split-search scan; all histogram state lives in preallocated scratch
+func (s *histScratch) scanOne(j, bins int, idx []int32, tgt []float64, sum float64) (float64, int32) {
 	m := len(idx)
 	n := s.n
-	ws := s.workers[w]
-	hs, hc := &ws.histSum, &ws.histCnt
+	hs, hc := &s.histSum, &s.histCnt
 	for b := 0; b < bins; b++ {
 		hs[b] = 0
 		hc[b] = 0
@@ -532,7 +476,7 @@ func (s *histScratch) scanOne(w, j, bins int, idx []int32, tgt []float64, sum fl
 		hs[b] += tgt[t]
 		hc[b]++
 	}
-	s.featGain[j], s.featBin[j] = histGainScan(hs, hc, bins, sum, m)
+	return histGainScan(hs, hc, bins, sum, m)
 }
 
 // scanPair interleaves two features through one pass over the node: the
@@ -541,13 +485,14 @@ func (s *histScratch) scanOne(w, j, bins int, idx []int32, tgt []float64, sum fl
 // per-bin += chain serializes on add latency; two features double the
 // ILP). Each feature's per-bin addition order is still ascending node
 // order — bit-identical to its own scanOne.
-func (s *histScratch) scanPair(w, j0, bins int, idx []int32, tgt []float64, sum float64) {
+//
+//greenlint:hotpath split-search scan; all histogram state lives in preallocated scratch
+func (s *histScratch) scanPair(j0, bins int, idx []int32, tgt []float64, sum float64) (gain0 float64, bin0 int32, gain1 float64, bin1 int32) {
 	j1 := j0 + 1
 	m := len(idx)
 	n := s.n
-	ws := s.workers[w]
-	hs0, hc0 := &ws.histSum, &ws.histCnt
-	hs1, hc1 := &ws.histSum2, &ws.histCnt2
+	hs0, hc0 := &s.histSum, &s.histCnt
+	hs1, hc1 := &s.histSum2, &s.histCnt2
 	for b := 0; b < bins; b++ {
 		hs0[b] = 0
 		hc0[b] = 0
@@ -589,8 +534,9 @@ func (s *histScratch) scanPair(w, j0, bins int, idx []int32, tgt []float64, sum 
 		hs1[c] += v
 		hc1[c]++
 	}
-	s.featGain[j0], s.featBin[j0] = histGainScan(hs0, hc0, bins, sum, m)
-	s.featGain[j1], s.featBin[j1] = histGainScan(hs1, hc1, bins, sum, m)
+	gain0, bin0 = histGainScan(hs0, hc0, bins, sum, m)
+	gain1, bin1 = histGainScan(hs1, hc1, bins, sum, m)
+	return gain0, bin0, gain1, bin1
 }
 
 // histGainScan finds the best variance-reduction boundary of one
@@ -651,9 +597,8 @@ func (h *HistBoosting) walkRow(root int32, row []uint8) float64 {
 	return nd.value
 }
 
-// PredictProba implements Classifier. Rows are independent — each bins
-// its features and walks every tree — so blocks run in parallel with
-// per-block visit counts reduced in block order.
+// PredictProba implements Classifier: each row bins its features and
+// walks every tree.
 func (h *HistBoosting) PredictProba(x tabular.View) ([][]float64, Cost) {
 	n := x.Rows()
 	if len(h.roots) == 0 {
@@ -663,35 +608,23 @@ func (h *HistBoosting) PredictProba(x tabular.View) ([][]float64, Cost) {
 	k := h.classes
 	out := make([][]float64, n) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
 	width := x.Features()
-	blockVisits := make([]float64, rowBlockCount(n))
-	rowBufs := make([][]uint8, Parallelism())
-	runRowBlocks(n, func(w, b, lo, hi int) {
-		if rowBufs[w] == nil {
-			rowBufs[w] = make([]uint8, d)
-		}
-		row := rowBufs[w]
-		var visits float64
-		for i := lo; i < hi; i++ {
-			for j := 0; j < d; j++ {
-				v := 0.0
-				if j < width {
-					v = x.At(i, j)
-				}
-				row[j] = binIndex(h.thresholds[j], v)
-			}
-			logits := make([]float64, k)
-			for ri, root := range h.roots {
-				logits[ri%k] += h.Params.LearningRate * h.walkRow(root, row)
-				visits += float64(h.Params.MaxDepth)
-			}
-			softmaxInPlace(logits)
-			out[i] = logits
-		}
-		blockVisits[b] = visits
-	})
+	row := make([]uint8, d)
 	var visits float64
-	for _, v := range blockVisits {
-		visits += v
+	for i := range out {
+		for j := 0; j < d; j++ {
+			v := 0.0
+			if j < width {
+				v = x.At(i, j)
+			}
+			row[j] = binIndex(h.thresholds[j], v)
+		}
+		logits := make([]float64, k)
+		for ri, root := range h.roots {
+			logits[ri%k] += h.Params.LearningRate * h.walkRow(root, row)
+			visits += float64(h.Params.MaxDepth)
+		}
+		softmaxInPlace(logits)
+		out[i] = logits
 	}
 	return out, Cost{Tree: 2 * visits, Generic: float64(n*d) * 4}
 }

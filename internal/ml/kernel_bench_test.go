@@ -6,10 +6,10 @@ import (
 )
 
 // This file benchmarks the kernel families that previously had no
-// recorded baseline — kNN, MLP and the SGD linear models — plus the
-// within-fit parallel paths. Together with tree_bench_test.go they are
-// the inputs of scripts/bench.sh, which folds min-of-N runs into
-// BENCH_4.json and gates kernel PRs on regressions.
+// recorded baseline — kNN, MLP and the SGD linear models. Together with
+// tree_bench_test.go they are the inputs of scripts/bench.sh, which
+// folds min-of-N runs into BENCH_4.json and gates kernel PRs on
+// regressions.
 
 // BenchmarkKNNFit measures kNN training (column memorization) — cheap by
 // design, recorded so a regression into copying or row-major gathering

@@ -77,18 +77,16 @@ func (s knnByDist) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
 // squared distance in ascending feature order.
 const knnQBlock = 8
 
-// knnWorker is one worker's private query scratch.
-type knnWorker struct {
+// knnScratch is the query scratch of one PredictProba call.
+type knnScratch struct {
 	dist  []float64 // knnQBlock stacked distance rows
 	q     []float64 // gathered query-column block
 	cands []knnCand
 }
 
 // PredictProba implements Classifier. The scan is feature-major over
-// the memorized columns, blocked two ways: query blocks share one pass
-// over the training columns, and blocks of queries run in parallel
-// under the package Parallelism knob (disjoint output rows, Cost from
-// a closed formula) — bit-identical to the historical per-query scan.
+// the memorized columns, and query blocks share one pass over the
+// training columns — bit-identical to the historical per-query scan.
 func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 	m := x.Rows()
 	if len(k.cols) == 0 || len(k.y) == 0 {
@@ -101,43 +99,33 @@ func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 		kk = n
 	}
 	out := make([][]float64, m) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	workers := make([]*knnWorker, Parallelism())
-	runRowBlocks(m, func(w, _, lo, hi int) {
-		ws := workers[w]
-		if ws == nil {
-			ws = &knnWorker{
-				dist:  make([]float64, knnQBlock*n),
-				q:     make([]float64, knnQBlock),
-				cands: make([]knnCand, n),
+	ws := &knnScratch{
+		dist:  make([]float64, knnQBlock*n),
+		q:     make([]float64, knnQBlock),
+		cands: make([]knnCand, n),
+	}
+	for i := 0; i < m; i += knnQBlock {
+		qn := min(m-i, knnQBlock)
+		k.scanQueries(x, ws, i, qn, n, d)
+		for s := 0; s < qn; s++ {
+			dist := ws.dist[s*n : s*n+n]
+			cands := ws.cands
+			for t := range cands {
+				cands[t] = knnCand{dist: dist[t], label: k.y[t]}
 			}
-			workers[w] = ws
-		}
-		for i := lo; i < hi; i += knnQBlock {
-			qn := hi - i
-			if qn > knnQBlock {
-				qn = knnQBlock
-			}
-			k.scanQueries(x, ws, i, qn, n, d)
-			for s := 0; s < qn; s++ {
-				dist := ws.dist[s*n : s*n+n]
-				cands := ws.cands
-				for t := range cands {
-					cands[t] = knnCand{dist: dist[t], label: k.y[t]}
+			sort.Sort(knnByDist(cands))
+			votes := make([]float64, k.classes)
+			for _, c := range cands[:kk] {
+				w := 1.0
+				if k.Params.DistanceWeighted {
+					w = 1 / (1e-9 + c.dist)
 				}
-				sort.Sort(knnByDist(cands))
-				votes := make([]float64, k.classes)
-				for _, c := range cands[:kk] {
-					w := 1.0
-					if k.Params.DistanceWeighted {
-						w = 1 / (1e-9 + c.dist)
-					}
-					votes[c.label] += w
-				}
-				normalizeInPlace(votes)
-				out[i+s] = votes
+				votes[c.label] += w
 			}
+			normalizeInPlace(votes)
+			out[i+s] = votes
 		}
-	})
+	}
 	scanCost := float64(m) * float64(n) * (3*float64(d) + 15)
 	return out, Cost{Generic: scanCost}
 }
@@ -149,8 +137,8 @@ func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 // invariant — while each training value is loaded once per query block
 // instead of once per query.
 //
-//greenlint:hotpath distance accumulation over every query-row pair; scratch is per-worker
-func (k *KNN) scanQueries(x tabular.View, ws *knnWorker, i, qn, n, d int) {
+//greenlint:hotpath distance accumulation over every query-row pair; scratch is preallocated
+func (k *KNN) scanQueries(x tabular.View, ws *knnScratch, i, qn, n, d int) {
 	clear(ws.dist[:qn*n])
 	for j := 0; j < d; j++ {
 		col := k.cols[j]

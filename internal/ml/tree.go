@@ -568,30 +568,19 @@ func (t *TreeClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 	return t.core.cost, nil
 }
 
-// PredictProba implements Classifier. Rows traverse independently, so
-// row blocks run in parallel under the package Parallelism knob:
-// output rows are disjoint slots, and the per-block visit counts are
-// integer-valued floats whose block-order reduction is exact — the
-// Cost matches the sequential walk bit for bit.
+// PredictProba implements Classifier: every row walks the tree to its
+// leaf distribution.
 func (t *TreeClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 	n := x.Rows()
 	if !t.fitted {
 		return uniformProba(n, max(t.core.classes, 2)), Cost{}
 	}
 	out := make([][]float64, n) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	blockVisits := make([]float64, rowBlockCount(n))
-	runRowBlocks(n, func(_, b, lo, hi int) {
-		var visits float64
-		for i := lo; i < hi; i++ {
-			leaf, v := t.core.traverse(x, i)
-			visits += v
-			out[i] = leaf.proba
-		}
-		blockVisits[b] = visits
-	})
 	var visits float64
-	for _, v := range blockVisits {
+	for i := range out {
+		leaf, v := t.core.traverse(x, i)
 		visits += v
+		out[i] = leaf.proba
 	}
 	return out, Cost{Tree: 2 * visits}
 }
@@ -637,27 +626,19 @@ func (t *TreeRegressor) FitReg(x tabular.View, y []float64, rng *rand.Rand) (Cos
 	return t.core.cost, nil
 }
 
-// PredictReg implements Regressor. Row blocks run in parallel with
-// block-slot visit counts, exactly like TreeClassifier.PredictProba.
+// PredictReg implements Regressor: every row walks the tree to its
+// leaf value.
 func (t *TreeRegressor) PredictReg(x tabular.View) ([]float64, Cost) {
 	n := x.Rows()
 	out := make([]float64, n)
 	if !t.fitted {
 		return out, Cost{}
 	}
-	blockVisits := make([]float64, rowBlockCount(n))
-	runRowBlocks(n, func(_, b, lo, hi int) {
-		var visits float64
-		for i := lo; i < hi; i++ {
-			leaf, v := t.core.traverse(x, i)
-			visits += v
-			out[i] = leaf.value
-		}
-		blockVisits[b] = visits
-	})
 	var visits float64
-	for _, v := range blockVisits {
+	for i := range out {
+		leaf, v := t.core.traverse(x, i)
 		visits += v
+		out[i] = leaf.value
 	}
 	return out, Cost{Tree: 2 * visits}
 }

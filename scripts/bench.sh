@@ -114,21 +114,19 @@ echo "wrote BENCH_3.json" >&2
 
 # BENCH_4.json: kernel latency/allocation comparison across the fused
 # hardware-speed kernel rewrite (single-pass bounds-check-eliminated
-# histogram scans, blocked kNN distances, arena trees, within-cell
-# parallelism). The "pre" block is the last run of the pre-rewrite
-# kernels, min-of-3 on the same machine immediately before the rewrite
-# landed; that code path no longer exists to re-run. The machine has a
-# single core, so BenchmarkForestFitParallel p1 vs p4 only guards
-# goroutine-handoff overhead there — parallel scaling needs multi-core
-# hardware. The headline HistGBTFit delta was additionally measured
-# interleaved against a pre-rewrite git worktree on the same host to
-# cancel shared-VM noise: 4306917 -> 3134206 ns/op (-27.2%).
+# histogram scans, blocked kNN distances, arena trees). The "pre" block
+# is the last run of the pre-rewrite kernels, min-of-3 on the same
+# machine immediately before the rewrite landed; that code path no
+# longer exists to re-run. The headline HistGBTFit delta was
+# additionally measured interleaved against a pre-rewrite git worktree
+# on the same host to cancel shared-VM noise: 4306917 -> 3134206 ns/op
+# (-27.2%).
 {
     echo "{"
     printf '  "benchtime": "%s",\n' "$BENCHTIME"
     cat <<'PRE'
   "machine": {"cpu": "Intel(R) Xeon(R) Processor @ 2.70GHz", "cores": 1, "go": "go1.24.0 linux/amd64"},
-  "note": "single-core machine: ForestFitParallel p4 cannot show multi-core scaling here, only overhead; HistGBTFit headline delta cross-checked interleaved vs a pre-rewrite worktree (4306917 -> 3134206 ns/op, -27.2%)",
+  "note": "single-core machine; HistGBTFit headline delta cross-checked interleaved vs a pre-rewrite worktree (4306917 -> 3134206 ns/op, -27.2%)",
   "pre": {
     "note": "pre-rewrite kernels, min-of-3 recorded immediately before the fused-kernel rewrite",
     "benchmarks": [

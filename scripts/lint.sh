@@ -23,11 +23,10 @@
 # say why the site cannot influence recorded results.
 #
 # Goroutine launches in internal/ml are likewise rejected unless they
-# carry "//greenlint:allow reduceorder <reason>" arguing the sanctioned
-# reduction order (disjoint item-addressed slots, caller-side reduce in
-# slot order — see internal/ml/parallel.go and the "Kernel execution"
-# section of DESIGN.md); writes to captured variables from inside such
-# goroutines need their own annotation.
+# carry "//greenlint:allow reduceorder <reason>": the kernels are
+# sequential, so their float reductions run in one fixed order (see the
+# "Kernel execution" section of DESIGN.md); writes to captured
+# variables from inside such goroutines need their own annotation.
 #
 # The CFG-backed analyzers (framerelease, meteredcost, hotalloc) enforce
 # the pooled-frame ownership discipline, ml.Cost accounting, and
